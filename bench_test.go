@@ -163,7 +163,7 @@ func BenchmarkShardedKRR(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
 			tr := benchTrace(b, "msr-web", 1<<17, false)
-			sp, err := core.NewShardedProfiler(core.Config{K: 8, Seed: 1, Workers: w})
+			m, err := model.NewSharded("krr", w, model.Options{K: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -171,9 +171,9 @@ func BenchmarkShardedKRR(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sp.Process(reqs[i%len(reqs)])
+				m.Process(reqs[i%len(reqs)])
 			}
-			sp.Close()
+			m.Close()
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -232,4 +233,58 @@ func BenchmarkNDJSONDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzNDJSON holds the ingest parser to the legacy encoding/json
+// decoder on arbitrary bodies. The parser is line-delimited while the
+// legacy decoder streams, so the oracle runs the legacy decoder on one
+// line at a time: a non-blank line is valid iff it decodes to exactly
+// one request. Both sides must yield the same requests up to the first
+// invalid line, and fail there.
+func FuzzNDJSON(f *testing.F) {
+	// Seeds: each line shape of the equivalence corpus on its own, and
+	// a 50-line body mixing them (the full corpus is too big to mutate
+	// at a useful rate).
+	lines := strings.SplitAfter(ndjsonCorpus(), "\n")
+	for _, line := range lines[:11] {
+		f.Add(line)
+	}
+	f.Add(strings.Join(lines[:50], ""))
+	f.Fuzz(func(t *testing.T, body string) {
+		got, gotErr := drain(newNDJSONReader(strings.NewReader(body)))
+
+		var want []trace.Request
+		var wantErr error
+		sc := bufio.NewScanner(strings.NewReader(body))
+		sc.Buffer(make([]byte, 64<<10), maxNDJSONLine)
+		for wantErr == nil && sc.Scan() {
+			if isBlank(sc.Bytes()) {
+				continue
+			}
+			reqs, err := drain(legacyNDJSONReader(strings.NewReader(sc.Text())))
+			if err == nil && len(reqs) != 1 {
+				err = fmt.Errorf("%d requests on one line", len(reqs))
+			}
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, reqs[0])
+		}
+		if wantErr == nil {
+			wantErr = sc.Err()
+		}
+
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("error mismatch on %q: parser %v, legacy %v", body, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: parser yielded %d requests, legacy %d", body, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%q: request %d: parser %+v, legacy %+v", body, i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -133,23 +133,14 @@ func NewBucketStack(kPrime, ratio float64, seed uint64) *BucketStack {
 	}
 }
 
-// KPrime returns the stack exponent.
-func (s *BucketStack) KPrime() float64 { return s.kPrime }
-
 // Ratio returns the geometric bucket growth ratio.
 func (s *BucketStack) Ratio() float64 { return s.ratio }
 
 // Len returns the number of objects on the stack.
 func (s *BucketStack) Len() int { return len(s.order) - 1 }
 
-// Buckets returns the number of active buckets.
-func (s *BucketStack) Buckets() int { return len(s.buckets) }
-
 // TotalBytes returns the byte total across resident objects.
 func (s *BucketStack) TotalBytes() uint64 { return s.totalBytes }
-
-// At returns the key at 1-based nominal position i.
-func (s *BucketStack) At(i int) uint64 { return s.keys[s.order[i]] }
 
 // PositionOf returns key's 1-based nominal position, or 0 if absent.
 func (s *BucketStack) PositionOf(key uint64) int32 {
@@ -160,15 +151,8 @@ func (s *BucketStack) PositionOf(key uint64) int32 {
 	return s.pos[slot]
 }
 
-// Moves returns the cumulative inter-bucket victim moves applied —
-// the bucketized analog of Stack.SwapSteps.
-func (s *BucketStack) Moves() uint64 { return s.moves.Load() }
-
 // Updates returns the number of stack updates performed.
 func (s *BucketStack) Updates() uint64 { return s.updates.Load() }
-
-// DepthSum returns the cumulative reference depth (Σφ over updates).
-func (s *BucketStack) DepthSum() uint64 { return s.depthSum.Load() }
 
 // MetricsInto registers the stack's live counters under prefix; all
 // reads are atomic and scrape-safe mid-stream.

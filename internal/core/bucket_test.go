@@ -199,7 +199,7 @@ func TestBucketRatioConvergence(t *testing.T) {
 
 	maes := make(map[float64]float64)
 	for _, ratio := range []float64{1, 2, 4} {
-		p := MustBucketProfiler(BucketConfig{K: 8, Ratio: ratio, Seed: 22})
+		p := MustProfiler(Config{K: 8, Method: Bucket, BucketRatio: ratio, Seed: 22})
 		if err := p.ProcessAll(tr.Reader()); err != nil {
 			t.Fatal(err)
 		}
@@ -220,23 +220,25 @@ func TestBucketRatioConvergence(t *testing.T) {
 }
 
 func TestBucketConfigValidate(t *testing.T) {
-	if _, err := NewBucketProfiler(BucketConfig{K: 0}); err == nil {
-		t.Fatal("K = 0 must be rejected")
+	for _, cfg := range []Config{
+		{K: 0, Method: Bucket},
+		{K: 5, Method: Bucket, BucketRatio: 0.5},
+		{K: 5, Method: Bucket, BucketRatio: 9},
+		{K: 5, Method: Bucket, SamplingRate: 2},
+		{K: 5, Method: Bucket, Bytes: BytesSizeArray},
+	} {
+		if _, err := NewProfiler(cfg); err == nil {
+			t.Errorf("%+v must be rejected", cfg)
+		}
 	}
-	if _, err := NewBucketProfiler(BucketConfig{K: 5, Ratio: 0.5}); err == nil {
-		t.Fatal("ratio 0.5 must be rejected")
-	}
-	if _, err := NewBucketProfiler(BucketConfig{K: 5, Ratio: 9}); err == nil {
-		t.Fatal("ratio 9 must be rejected")
-	}
-	if _, err := NewBucketProfiler(BucketConfig{K: 5, SamplingRate: 2}); err == nil {
-		t.Fatal("sampling rate 2 must be rejected")
-	}
-	p, err := NewBucketProfiler(BucketConfig{K: 5})
+	p, err := NewProfiler(Config{K: 5, Method: Bucket})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stack().Ratio(); got != DefaultBucketRatio {
+	if p.Stack() != nil {
+		t.Fatal("Stack() must be nil under Method Bucket")
+	}
+	if got := p.kernel.(*BucketStack).Ratio(); got != DefaultBucketRatio {
 		t.Fatalf("default ratio = %v, want %v", got, DefaultBucketRatio)
 	}
 }

@@ -26,7 +26,7 @@ func TestKPrimeFor(t *testing.T) {
 }
 
 func TestMethodStrings(t *testing.T) {
-	if Backward.String() != "backward" || TopDown.String() != "topdown" || Linear.String() != "linear" {
+	if Backward.String() != "backward" || TopDown.String() != "topdown" || Linear.String() != "linear" || Bucket.String() != "bucket" {
 		t.Fatal("method names wrong")
 	}
 	if UpdateMethod(9).String() != "method?" {
@@ -400,14 +400,6 @@ func TestByteMRCErrsWhenOff(t *testing.T) {
 	if c != nil {
 		t.Fatal("ByteMRC must return a nil curve with ErrBytesOff")
 	}
-	sp, err := NewShardedProfiler(Config{K: 2, Seed: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	if _, err := sp.ByteMRC(); !errors.Is(err, ErrBytesOff) {
-		t.Fatalf("sharded ByteMRC error = %v, want ErrBytesOff", err)
-	}
 }
 
 func TestProfilerDeleteOp(t *testing.T) {
@@ -443,34 +435,6 @@ func TestMemoryOverheadAccounting(t *testing.T) {
 	// bucketed-map accounting (§5.6), but never below the raw 24 B.
 	if per < 24 || per > 60 {
 		t.Fatalf("per-object overhead %d bytes, expected ~28-48 with the open-addressing index", per)
-	}
-}
-
-func TestResetHistogramsKeepsStack(t *testing.T) {
-	p := MustProfiler(Config{K: 4, Seed: 1, Bytes: BytesSizeArray})
-	g := workload.NewZipf(3, 500, 1.0, nil, 0)
-	tr, _ := trace.Collect(g, 10000)
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	warmLen := p.Stack().Len()
-	if p.ObjHist().Total() == 0 {
-		t.Fatal("no distances recorded")
-	}
-	p.ResetHistograms()
-	if p.ObjHist().Total() != 0 || p.ByteHist().Total() != 0 {
-		t.Fatal("histograms not cleared")
-	}
-	if p.Stack().Len() != warmLen {
-		t.Fatal("reset must keep the stack warm")
-	}
-	// The next window records non-cold distances immediately: the
-	// stack remembers the objects.
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	if p.ObjHist().Cold() != 0 {
-		t.Fatalf("warm stack produced %d cold misses", p.ObjHist().Cold())
 	}
 }
 

@@ -59,21 +59,21 @@ type Config struct {
 	// K′ = K^1.4 correction (§4.2). Set to float64(K) to ablate the
 	// correction.
 	KPrime float64
-	// Method selects the update sampler (default Backward).
+	// Method selects the update sampler (default Backward); Bucket
+	// selects the bucketized stack instead of the per-position one.
 	Method UpdateMethod
-	// Bytes selects byte-granularity distance handling.
+	// Bytes selects byte-granularity distance handling. Bucket
+	// supports BytesOff only.
 	Bytes ByteMode
+	// BucketRatio is the Bucket stack's geometric bucket growth ratio
+	// in [1, MaxBucketRatio]; 0 selects DefaultBucketRatio. Other
+	// methods ignore it.
+	BucketRatio float64
 	// SamplingRate applies SHARDS-style spatial sampling when in
 	// (0, 1); 0 or 1 disables it (§2.4).
 	SamplingRate float64
 	// Seed fixes all randomness.
 	Seed uint64
-	// Workers > 1 opts into the sharded parallel pipeline: requests
-	// are hash-partitioned across Workers independent stacks and the
-	// histograms merged (see ShardedProfiler). 0 or 1 keeps the
-	// serial profiler. Only BuildMRC and ShardedProfiler honor it; a
-	// plain Profiler is always serial.
-	Workers int
 }
 
 func (c Config) kPrime() float64 {
@@ -90,25 +90,40 @@ func (c Config) validate() error {
 	if c.SamplingRate < 0 || c.SamplingRate > 1 {
 		return fmt.Errorf("core: sampling rate %v out of [0, 1]", c.SamplingRate)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: config Workers = %d, must be >= 0", c.Workers)
+	if c.BucketRatio != 0 && (c.BucketRatio < 1 || c.BucketRatio > MaxBucketRatio) {
+		return fmt.Errorf("core: bucket ratio %v out of [1, %v]", c.BucketRatio, MaxBucketRatio)
+	}
+	if c.Method == Bucket && c.Bytes != BytesOff {
+		return fmt.Errorf("core: byte mode %v unsupported by the bucket stack", c.Bytes)
 	}
 	return nil
 }
 
+// kernel is the stack a Profiler drives: a *Stack, or a *BucketStack
+// under Method Bucket.
+type kernel interface {
+	Reference(key uint64, size uint32) Result
+	Delete(key uint64) bool
+	MetricsInto(set *telemetry.Set, prefix string)
+	MemoryOverheadBytes() uint64
+}
+
 // Profiler builds K-LRU miss ratio curves in one pass (§4), optionally
-// under spatial sampling. A Profiler is not safe for concurrent use;
-// shard the stream or serialize Process calls externally.
+// under spatial sampling: filter, stack kernel, distance histograms,
+// rescaled curves. The kernel is a Stack, or a BucketStack under
+// Method Bucket. A Profiler is not safe for concurrent use; shard the
+// stream (model.Sharded) or serialize Process calls externally.
 type Profiler struct {
 	cfg    Config
-	stack  *Stack
+	kernel kernel
+	stack  *Stack // the kernel unless Method is Bucket
 	filter *sampling.Filter
 
 	objHist  *histogram.Dense
 	byteHist *histogram.Log
 
-	seen    telemetry.Counter // pre-filter request count
-	sampled telemetry.Counter
+	seen    uint64 // pre-filter request count
+	sampled uint64
 }
 
 // NewProfiler builds a profiler from cfg.
@@ -116,17 +131,19 @@ func NewProfiler(cfg Config) (*Profiler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	opts := []Option{WithMethod(cfg.Method)}
-	switch cfg.Bytes {
-	case BytesSizeArray:
-		opts = append(opts, WithSizeArray())
-	case BytesFenwick:
-		opts = append(opts, WithFenwick())
-	}
-	p := &Profiler{
-		cfg:     cfg,
-		stack:   NewStack(cfg.kPrime(), cfg.Seed, opts...),
-		objHist: histogram.NewDense(1024),
+	p := &Profiler{cfg: cfg, objHist: histogram.NewDense(1024)}
+	if cfg.Method == Bucket {
+		p.kernel = NewBucketStack(cfg.kPrime(), cfg.BucketRatio, cfg.Seed)
+	} else {
+		opts := []Option{WithMethod(cfg.Method)}
+		switch cfg.Bytes {
+		case BytesSizeArray:
+			opts = append(opts, WithSizeArray())
+		case BytesFenwick:
+			opts = append(opts, WithFenwick())
+		}
+		p.stack = NewStack(cfg.kPrime(), cfg.Seed, opts...)
+		p.kernel = p.stack
 	}
 	if cfg.Bytes != BytesOff {
 		p.byteHist = histogram.NewLog()
@@ -147,40 +164,44 @@ func MustProfiler(cfg Config) *Profiler {
 	return p
 }
 
-// Config returns the profiler's configuration.
-func (p *Profiler) Config() Config { return p.cfg }
-
-// Stack exposes the underlying KRR stack.
+// Stack exposes the underlying KRR stack; nil under Method Bucket.
 func (p *Profiler) Stack() *Stack { return p.stack }
 
 // Seen returns the number of requests offered (before sampling).
-func (p *Profiler) Seen() uint64 { return p.seen.Load() }
+func (p *Profiler) Seen() uint64 { return p.seen }
 
 // Sampled returns the number of requests admitted by the filter.
-func (p *Profiler) Sampled() uint64 { return p.sampled.Load() }
+func (p *Profiler) Sampled() uint64 { return p.sampled }
 
-// MetricsInto registers the profiler's live telemetry under prefix:
-// stream counters plus the underlying stack's update metrics. All
-// values are atomically readable while Process runs on another
-// goroutine.
-func (p *Profiler) MetricsInto(set *telemetry.Set, prefix string) {
-	set.CounterFunc(prefix+"requests_seen_total", "requests offered (before spatial sampling)", p.seen.Load)
-	set.CounterFunc(prefix+"requests_sampled_total", "requests admitted past spatial sampling", p.sampled.Load)
-	p.stack.MetricsInto(set, prefix)
+// StackMetricsInto registers the stack's live update metrics under
+// prefix. They are atomics, safe to scrape while Process runs on
+// another goroutine.
+func (p *Profiler) StackMetricsInto(set *telemetry.Set, prefix string) {
+	p.kernel.MetricsInto(set, prefix)
+}
+
+// MemoryOverheadBytes is the §5.6 metadata accounting: the stack plus
+// the distance histograms.
+func (p *Profiler) MemoryOverheadBytes() uint64 {
+	n := p.kernel.MemoryOverheadBytes() + p.objHist.MemBytes()
+	if p.byteHist != nil {
+		n += p.byteHist.MemBytes()
+	}
+	return n
 }
 
 // Process feeds one request.
 func (p *Profiler) Process(req trace.Request) {
-	p.seen.Inc()
+	p.seen++
 	if p.filter != nil && !p.filter.Sampled(req.Key) {
 		return
 	}
-	p.sampled.Inc()
+	p.sampled++
 	if req.Op == trace.OpDelete {
-		p.stack.Delete(req.Key)
+		p.kernel.Delete(req.Key)
 		return
 	}
-	res := p.stack.Reference(req.Key, req.Size)
+	res := p.kernel.Reference(req.Key, req.Size)
 	if res.Cold {
 		p.objHist.AddCold()
 		if p.byteHist != nil {
@@ -244,34 +265,9 @@ func (p *Profiler) ObjHist() *histogram.Dense { return p.objHist }
 // ByteHist exposes the byte histogram (nil when BytesOff).
 func (p *Profiler) ByteHist() *histogram.Log { return p.byteHist }
 
-// ResetHistograms clears the recorded distance distributions while
-// keeping the stack (and thus the modeled cache state) intact. Online
-// monitors call this at window boundaries so each window's MRC
-// reflects recent traffic rather than the whole history — the stack
-// carries the warm state across windows, exactly like the live cache
-// it models.
-func (p *Profiler) ResetHistograms() {
-	p.objHist = histogram.NewDense(1024)
-	if p.byteHist != nil {
-		p.byteHist = histogram.NewLog()
-	}
-}
-
 // BuildMRC is the one-call convenience: model a K-LRU cache over a
-// reader and return the object-granularity curve. cfg.Workers > 1
-// routes through the sharded parallel pipeline.
+// reader and return the object-granularity curve.
 func BuildMRC(r trace.Reader, cfg Config) (*mrc.Curve, error) {
-	if cfg.Workers > 1 {
-		sp, err := NewShardedProfiler(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer sp.Close()
-		if err := sp.ProcessAll(r); err != nil {
-			return nil, err
-		}
-		return sp.ObjectMRC(), nil
-	}
 	p, err := NewProfiler(cfg)
 	if err != nil {
 		return nil, err

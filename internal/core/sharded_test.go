@@ -1,13 +1,22 @@
-package core
+package core_test
 
 import (
-	"fmt"
 	"testing"
 
+	"krr"
+	"krr/internal/core"
+	"krr/internal/histogram"
+	"krr/internal/model"
 	"krr/internal/mrc"
+	"krr/internal/shardpipe"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
+
+// The sharded KRR pipeline is model.Sharded: core.Profiler shards
+// behind a shardpipe.Pipe. These tests check that composition from
+// the core side — curves against a serial core.Profiler, and the
+// per-shard profiler state the pipe feeds.
 
 // shardedTestTrace materializes a preset for the equivalence tests.
 func shardedTestTrace(t *testing.T, preset string, n int) *trace.Trace {
@@ -23,8 +32,26 @@ func shardedTestTrace(t *testing.T, preset string, n int) *trace.Trace {
 	return tr
 }
 
+// shardProfilers routes tr's requests by key over w serial
+// core.Profiler shards through the same pipe and seed derivation
+// model.Sharded uses, and returns the shards once the pipe has
+// drained.
+func shardProfilers(t *testing.T, w int, cfg core.Config, reqs func(send func(trace.Request))) ([]*core.Profiler, *shardpipe.Pipe) {
+	t.Helper()
+	profs := make([]*core.Profiler, w)
+	for i := range profs {
+		c := cfg
+		c.Seed = shardpipe.ShardSeed(cfg.Seed, i)
+		profs[i] = core.MustProfiler(c)
+	}
+	pipe := shardpipe.New(w, func(shard int, req trace.Request) { profs[shard].Process(req) })
+	reqs(func(req trace.Request) { pipe.Send(pipe.ShardOf(req.Key), req) })
+	pipe.Close()
+	return profs, pipe
+}
+
 // TestShardedMatchesSerialMRC is the statistical-equivalence check the
-// whole design rests on: a W=4 sharded profiler and the serial
+// whole design rests on: a W=4 sharded KRR model and the serial
 // profiler must produce MRCs within the paper's accuracy tolerance on
 // realistic workloads. The two runs use different randomness and the
 // sharded one measures W subsampled stacks, so agreement is
@@ -41,17 +68,15 @@ func TestShardedMatchesSerialMRC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{K: 8, Seed: 42}
-			serial := MustProfiler(cfg)
+			serial := core.MustProfiler(core.Config{K: 8, Seed: 42})
 			if err := serial.ProcessAll(tr.Reader()); err != nil {
 				t.Fatal(err)
 			}
-			cfg.Workers = 4
-			sp, err := NewShardedProfiler(cfg)
+			sp, err := model.NewSharded("krr", 4, model.Options{K: 8, Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sp.ProcessAll(tr.Reader()); err != nil {
+			if err := model.ProcessAll(sp, tr.Reader()); err != nil {
 				t.Fatal(err)
 			}
 			a, b := serial.ObjectMRC(), sp.ObjectMRC()
@@ -59,8 +84,8 @@ func TestShardedMatchesSerialMRC(t *testing.T) {
 			if mae := mrc.MAE(a, b, at); mae > 0.01 {
 				t.Fatalf("sharded vs serial MAE = %.4f > 0.01", mae)
 			}
-			if sp.Seen() != uint64(tr.Len()) {
-				t.Fatalf("seen %d of %d requests", sp.Seen(), tr.Len())
+			if seen := sp.Stats().Seen; seen != uint64(tr.Len()) {
+				t.Fatalf("seen %d of %d requests", seen, tr.Len())
 			}
 		})
 	}
@@ -78,22 +103,22 @@ func TestShardedWithSpatialSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := MustProfiler(Config{K: 4, Seed: 42})
+	serial := core.MustProfiler(core.Config{K: 4, Seed: 42})
 	if err := serial.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewShardedProfiler(Config{K: 4, Seed: 42, Workers: 4, SamplingRate: 0.1})
+	sp, err := model.NewSharded("krr", 4, model.Options{K: 4, Seed: 42, SamplingRate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.ProcessAll(tr.Reader()); err != nil {
+	if err := model.ProcessAll(sp, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
 	at := mrc.EvenSizes(uint64(sum.DistinctObjects), 40)
 	if mae := mrc.MAE(serial.ObjectMRC(), sp.ObjectMRC(), at); mae > 0.02 {
 		t.Fatalf("sharded+spatial vs serial MAE = %.4f > 0.02", mae)
 	}
-	if sp.Sampled() >= sp.Seen() {
+	if st := sp.Stats(); st.Sampled >= st.Seen {
 		t.Fatal("filter admitted everything at R = 0.1")
 	}
 }
@@ -105,16 +130,16 @@ func TestShardedBytesMRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewShardedProfiler(Config{K: 4, Seed: 1, Workers: 3, Bytes: BytesSizeArray})
+	sp, err := model.NewSharded("krr", 3, model.Options{K: 4, Seed: 1, Bytes: model.BytesSizeArray})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.ProcessAll(tr.Reader()); err != nil {
+	if err := model.ProcessAll(sp, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	c, err := sp.ByteMRC()
-	if err != nil {
-		t.Fatal(err)
+	c := sp.ByteMRC()
+	if c == nil {
+		t.Fatal("nil byte curve with BytesSizeArray")
 	}
 	if c.Len() < 2 {
 		t.Fatalf("degenerate byte curve: %d points", c.Len())
@@ -132,22 +157,24 @@ func TestShardedBytesMRC(t *testing.T) {
 func TestShardedRequestConservation(t *testing.T) {
 	tr := shardedTestTrace(t, "msr-src1", 50_000)
 	for _, w := range []int{1, 2, 4, 7} {
-		sp, err := NewShardedProfiler(Config{K: 2, Seed: 9, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sp.ProcessAll(tr.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		sp.Close()
+		profs, pipe := shardProfilers(t, w, core.Config{K: 2, Seed: 9}, func(send func(trace.Request)) {
+			for _, req := range tr.Reqs {
+				send(req)
+			}
+		})
+		merged := histogram.NewDense(0)
 		var total uint64
-		for i := 0; i < sp.Workers(); i++ {
-			total += sp.Shard(i).ObjHist().Total()
+		for i, p := range profs {
+			if got := p.ObjHist().Total(); got != pipe.Consumed(i) {
+				t.Fatalf("W=%d shard %d: histogram holds %d of %d consumed requests", w, i, got, pipe.Consumed(i))
+			}
+			total += p.ObjHist().Total()
+			merged.Merge(p.ObjHist())
 		}
 		if total != uint64(tr.Len()) {
 			t.Fatalf("W=%d: shards recorded %d of %d requests", w, total, tr.Len())
 		}
-		if got := sp.mergedObjHist().Total(); got != total {
+		if got := merged.Total(); got != total {
 			t.Fatalf("W=%d: merge lost requests: %d != %d", w, got, total)
 		}
 	}
@@ -156,21 +183,18 @@ func TestShardedRequestConservation(t *testing.T) {
 // TestShardedDeleteOps routes deletes like any other request (same
 // key → same shard), so per-shard stacks stay consistent.
 func TestShardedDeleteOps(t *testing.T) {
-	sp, err := NewShardedProfiler(Config{K: 2, Seed: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10_000; i++ {
-		k := uint64(i % 500)
-		sp.Process(trace.Request{Key: k, Size: 1, Op: trace.OpGet})
-		if i%13 == 0 {
-			sp.Process(trace.Request{Key: k, Size: 1, Op: trace.OpDelete})
+	profs, _ := shardProfilers(t, 4, core.Config{K: 2, Seed: 3}, func(send func(trace.Request)) {
+		for i := 0; i < 10_000; i++ {
+			k := uint64(i % 500)
+			send(trace.Request{Key: k, Size: 1, Op: trace.OpGet})
+			if i%13 == 0 {
+				send(trace.Request{Key: k, Size: 1, Op: trace.OpDelete})
+			}
 		}
-	}
-	sp.Close()
+	})
 	resident := 0
-	for i := 0; i < sp.Workers(); i++ {
-		resident += sp.Shard(i).Stack().Len()
+	for _, p := range profs {
+		resident += p.Stack().Len()
 	}
 	if resident == 0 || resident > 500 {
 		t.Fatalf("resident objects across shards = %d", resident)
@@ -182,7 +206,7 @@ func TestShardedDeleteOps(t *testing.T) {
 // exercises every cross-goroutine hand-off in the router, workers,
 // pool, and merge.
 func TestShardedPipelineRace(t *testing.T) {
-	sp, err := NewShardedProfiler(Config{K: 4, Seed: 11, Workers: 8})
+	sp, err := model.NewSharded("krr", 8, model.Options{K: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,26 +216,27 @@ func TestShardedPipelineRace(t *testing.T) {
 		if i%3 == 0 {
 			k = uint64(i)
 		}
-		sp.Process(trace.Request{Key: k, Size: 1})
+		if err := sp.Process(trace.Request{Key: k, Size: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c := sp.ObjectMRC() // closes, joins, merges
 	if c.Len() == 0 {
 		t.Fatal("empty curve")
 	}
-	sp.Close() // idempotent
+	if err := sp.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
 }
 
 // TestShardedWorkersValidation covers config plumbing.
 func TestShardedWorkersValidation(t *testing.T) {
-	if _, err := NewShardedProfiler(Config{K: 1, Workers: -1}); err == nil {
+	if _, err := model.New("krr", model.Options{K: 1, Workers: -1}); err == nil {
 		t.Fatal("negative Workers must fail validation")
-	}
-	if _, err := NewProfiler(Config{K: 1, Workers: -1}); err == nil {
-		t.Fatal("negative Workers must fail serial validation too")
 	}
 	// Workers 0 and 1 both yield a single-shard pipeline.
 	for _, w := range []int{0, 1} {
-		sp, err := NewShardedProfiler(Config{K: 1, Workers: w})
+		sp, err := model.NewSharded("krr", w, model.Options{K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,42 +248,16 @@ func TestShardedWorkersValidation(t *testing.T) {
 }
 
 // TestBuildMRCShardedPath checks the facade dispatch: Workers > 1
-// must produce a sane curve through BuildMRC.
+// must produce a sane curve through BuildMRCWith.
 func TestBuildMRCShardedPath(t *testing.T) {
 	tr := shardedTestTrace(t, "msr-src2", 50_000)
 	for _, w := range []int{1, 4} {
-		c, err := BuildMRC(tr.Reader(), Config{K: 4, Seed: 5, Workers: w})
+		c, err := krr.BuildMRCWith("krr", tr.Reader(), krr.ModelOptions{K: 4, Seed: 5, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() < 2 || c.Eval(0) != 1 {
 			t.Fatalf("W=%d: degenerate curve", w)
 		}
-	}
-}
-
-// BenchmarkShardedProcess measures router+pipeline throughput inside
-// the core package across worker counts (the facade-level
-// BenchmarkShardedKRR in the repo root pins the acceptance ratio).
-func BenchmarkShardedProcess(b *testing.B) {
-	p, _ := workload.ByName("msr-web")
-	tr, err := trace.Collect(p.New(0.1, 42, false), 1<<17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := tr.Reqs
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			sp, err := NewShardedProfiler(Config{K: 8, Seed: 1, Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp.Process(reqs[i%len(reqs)])
-			}
-			b.StopTimer()
-			sp.Close()
-		})
 	}
 }

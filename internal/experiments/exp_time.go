@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"krr/internal/core"
+	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/shards"
 	"krr/internal/simulator"
@@ -127,15 +128,12 @@ func runTable53(opt Options) (*Result, error) {
 	for _, w := range []int{2, 4} {
 		w := w
 		if err := addRow(fmt.Sprintf("Backward, sharded W=%d", w), tr.Len(), func(r trace.Reader) error {
-			sp, err := core.NewShardedProfiler(core.Config{K: k, Method: core.Backward, Seed: opt.Seed, Workers: w})
+			m, err := model.NewSharded("krr", w, model.Options{K: k, Seed: opt.Seed})
 			if err != nil {
 				return err
 			}
-			if err := sp.ProcessAll(r); err != nil {
-				return err
-			}
-			sp.Close()
-			return nil
+			defer m.Close()
+			return model.ProcessAll(m, r)
 		}); err != nil {
 			return nil, err
 		}

@@ -174,31 +174,30 @@ func coreByteMode(m ByteMode) core.ByteMode {
 	}
 }
 
+// newKRR builds a KRR profiler model over the given update method.
+// core.Bucket selects the bucketized stack: the Eq. 4.1
+// stay-probability at geometric-bucket granularity, O(log M) per
+// reference, object granularity only.
 func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 	return func(o Options) (Model, error) {
 		filter, scale := extFilter(o)
 		p, err := core.NewProfiler(core.Config{
-			K:      o.k(),
-			Seed:   o.Seed,
-			Method: method,
-			Bytes:  coreByteMode(o.Bytes),
+			K:           o.k(),
+			Seed:        o.Seed,
+			Method:      method,
+			Bytes:       coreByteMode(o.Bytes),
+			BucketRatio: o.BucketRatio,
 		})
 		if err != nil {
 			return nil, err
 		}
 		m := &streamModel{
-			filter:   filter,
-			process:  p.Process,
-			objCurve: func() *mrc.Curve { return mrc.FromHistogram(p.ObjHist(), scale) },
-			objDense: p.ObjHist(),
-			metrics:  p.Stack().MetricsInto,
-		}
-		m.footprint = func() uint64 {
-			fp := p.Stack().MemoryOverheadBytes() + p.ObjHist().MemBytes()
-			if m.byteLog != nil {
-				fp += m.byteLog.MemBytes()
-			}
-			return fp
+			filter:    filter,
+			process:   p.Process,
+			objCurve:  func() *mrc.Curve { return mrc.FromHistogram(p.ObjHist(), scale) },
+			objDense:  p.ObjHist(),
+			metrics:   p.StackMetricsInto,
+			footprint: p.MemoryOverheadBytes,
 		}
 		if o.Bytes != BytesOff {
 			m.byteCurve = func() *mrc.Curve { return mrc.FromHistogram(p.ByteHist(), scale) }
@@ -206,31 +205,6 @@ func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 		}
 		return m, nil
 	}
-}
-
-// newKRRBucket builds the bucketized KRR stack model: the Eq. 4.1
-// stay-probability evaluated at geometric-bucket granularity over a
-// flat SoA arena, O(log M) per reference with no pow on the hot path.
-// Object granularity only — byte trackers are tied to the exact
-// per-position shifts the bucketized update does not perform.
-func newKRRBucket(o Options) (Model, error) {
-	filter, scale := extFilter(o)
-	p, err := core.NewBucketProfiler(core.BucketConfig{
-		K:     o.k(),
-		Seed:  o.Seed,
-		Ratio: o.BucketRatio,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &streamModel{
-		filter:    filter,
-		process:   p.Process,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(p.ObjHist(), scale) },
-		objDense:  p.ObjHist(),
-		metrics:   p.Stack().MetricsInto,
-		footprint: func() uint64 { return p.Stack().MemoryOverheadBytes() + p.ObjHist().MemBytes() },
-	}, nil
 }
 
 // --- Olken exact-LRU stack -------------------------------------------
@@ -454,7 +428,7 @@ func init() {
 		Complexity: "O(log M)/ref",
 		Space:      "O(M) SoA arena + O(log M) buckets",
 		Caps:       CapDeletes | CapSharded,
-		New:        newKRRBucket,
+		New:        newKRR(core.Bucket),
 	})
 	Register(Info{
 		Name:       "olken",

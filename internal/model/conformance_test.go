@@ -227,24 +227,30 @@ func deleteTraces() (withDel, without *trace.Trace) {
 // models without it must produce identical curves whether or not
 // deletes appear; models with it must see the deleted keys' second
 // round as cold misses (strictly higher miss ratio at large sizes).
-// Sampling is disabled (rate 1) so a 30-request trace is fully
-// observed.
+// CapSharded entries are also held to it behind a 4-way Sharded, which
+// must route each delete to its key's shard. Sampling is disabled
+// (rate 1) so a 30-request trace is fully observed.
 func TestConformanceDeletes(t *testing.T) {
 	withDel, without := deleteTraces()
 	for _, info := range All() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			opts := Options{Seed: 7, SamplingRate: 1}
-			cDel := buildCurve(t, info.Name, opts, withDel)
-			cNo := buildCurve(t, info.Name, opts, without)
-			const at = 1 << 30 // past every working-set size: steady-state miss ratio
-			if info.Caps.Has(CapDeletes) {
-				if cDel.Eval(at) <= cNo.Eval(at) {
-					t.Fatalf("CapDeletes model ignored deletes: miss %v (with) vs %v (without)",
-						cDel.Eval(at), cNo.Eval(at))
+			variants := []Options{{Seed: 7, SamplingRate: 1}}
+			if info.Caps.Has(CapSharded) {
+				variants = append(variants, Options{Seed: 7, SamplingRate: 1, Workers: 4})
+			}
+			for _, opts := range variants {
+				cDel := buildCurve(t, info.Name, opts, withDel)
+				cNo := buildCurve(t, info.Name, opts, without)
+				const at = 1 << 30 // past every working-set size: steady-state miss ratio
+				if info.Caps.Has(CapDeletes) {
+					if cDel.Eval(at) <= cNo.Eval(at) {
+						t.Fatalf("w=%d: CapDeletes model ignored deletes: miss %v (with) vs %v (without)",
+							opts.Workers, cDel.Eval(at), cNo.Eval(at))
+					}
+				} else if !sameCurve(cDel, cNo) {
+					t.Fatalf("w=%d: model without CapDeletes changed its curve on deletes", opts.Workers)
 				}
-			} else if !sameCurve(cDel, cNo) {
-				t.Fatalf("model without CapDeletes changed its curve on deletes")
 			}
 		})
 	}
@@ -267,6 +273,9 @@ func TestRegistryLookup(t *testing.T) {
 	}
 	if _, err := New("krr", Options{SamplingRate: 2}); err == nil {
 		t.Fatal("out-of-range sampling rate accepted")
+	}
+	if _, err := New("krr", Options{Workers: -1}); err == nil {
+		t.Fatal("negative Workers accepted")
 	}
 	if _, err := New("aet", Options{Workers: 4}); err == nil {
 		t.Fatal("Workers > 1 accepted without CapSharded")

@@ -1,0 +1,131 @@
+package model
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"krr/internal/mrc"
+	"krr/internal/trace"
+	"krr/internal/workload"
+)
+
+// goldenDigests pins the exact curves of the KRR registry entries on
+// goldenTrace: FNV-1a over the float64 bits of every curve point
+// (object curve, then byte curve when a byte mode is set). A refactor
+// of the profiler or sharded plumbing must leave every digest as is.
+// Keys name the model and the goldenVariants option set.
+var goldenDigests = map[string]string{
+	"krr/rate=0/bytes=off/w=0":               "bcd996b331b990e1",
+	"krr/rate=0.2/bytes=off/w=0":             "0bd78f4a08620d1b",
+	"krr/rate=0/bytes=on/w=0":                "7b674bca66433f87",
+	"krr/rate=0/bytes=uniform/w=0":           "bebf4d22aa2e6efa",
+	"krr/rate=0/bytes=sizearray/w=0":         "7b674bca66433f87",
+	"krr/rate=0/bytes=fenwick/w=0":           "2b8a53be325ad0c5",
+	"krr/rate=0.2/bytes=off/w=4":             "1c90a4f50750928d",
+	"krr-topdown/rate=0/bytes=off/w=0":       "6d07973f8c538192",
+	"krr-topdown/rate=0.2/bytes=off/w=0":     "6c1e573c2410633c",
+	"krr-topdown/rate=0/bytes=on/w=0":        "9bc5a32ac1e4df44",
+	"krr-topdown/rate=0/bytes=uniform/w=0":   "f0aefeab5c6a5272",
+	"krr-topdown/rate=0/bytes=sizearray/w=0": "9bc5a32ac1e4df44",
+	"krr-topdown/rate=0/bytes=fenwick/w=0":   "e08bfb03c930ccf6",
+	"krr-topdown/rate=0.2/bytes=off/w=4":     "05dda284716c69fa",
+	"krr-linear/rate=0/bytes=off/w=0":        "fd9eb0e70f4faa74",
+	"krr-linear/rate=0.2/bytes=off/w=0":      "e23cccd95cb0f82e",
+	"krr-linear/rate=0/bytes=on/w=0":         "627fc4572ad11863",
+	"krr-linear/rate=0/bytes=uniform/w=0":    "d2056c6a600442cf",
+	"krr-linear/rate=0/bytes=sizearray/w=0":  "627fc4572ad11863",
+	"krr-linear/rate=0/bytes=fenwick/w=0":    "e6c820fff5df5b81",
+	"krr-linear/rate=0.2/bytes=off/w=4":      "d500d9f41666b1bd",
+	"krr-bucket/rate=0/bytes=off/w=0":        "16fe64fd02150532",
+	"krr-bucket/rate=0.2/bytes=off/w=0":      "df2a40e6b14210ca",
+	"krr-bucket/rate=0.2/bytes=off/w=4":      "68f2916496e17d48",
+}
+
+// goldenVariants lists the option sets digested for one entry:
+// serial, spatially sampled, every byte mode the entry supports, and
+// the 4-way sharded pipeline under sampling.
+func goldenVariants(info Info) []Options {
+	vs := []Options{{}, {SamplingRate: 0.2}}
+	if info.Caps.Has(CapBytes) {
+		for _, b := range []ByteMode{BytesOn, BytesUniform, BytesSizeArray, BytesFenwick} {
+			vs = append(vs, Options{Bytes: b})
+		}
+	}
+	if info.Caps.Has(CapSharded) {
+		vs = append(vs, Options{SamplingRate: 0.2, Workers: 4})
+	}
+	return vs
+}
+
+// goldenTrace is a Zipf stream over variable-size objects with a
+// delete every 50th request, so the digests cover the reference,
+// delete and byte-tracking paths.
+func goldenTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	sizes := workload.LogNormalSize{Mu: 7, Sigma: 1.2, Min: 64, Max: 1 << 20, Salt: 3}
+	gen := workload.NewZipf(5, 3000, 0.9, sizes, 0.1)
+	tr := &trace.Trace{}
+	for i := 0; i < 20000; i++ {
+		req, err := gen.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Append(req)
+		if i%50 == 49 {
+			tr.Append(trace.Request{Key: req.Key, Op: trace.OpDelete})
+		}
+	}
+	return tr
+}
+
+// curveDigest folds the bit patterns of c's points into h.
+func curveDigest(h hash.Hash, c *mrc.Curve) {
+	var buf [16]byte
+	for i := range c.Sizes {
+		binary.LittleEndian.PutUint64(buf[:8], c.Sizes[i])
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(c.Miss[i]))
+		h.Write(buf[:])
+	}
+}
+
+// TestGoldenCurveDigests pins the KRR family's curves bit for bit.
+// Float results may legitimately differ on architectures where the
+// compiler fuses multiply-adds, so the digests are checked on amd64
+// only, where they were recorded.
+func TestGoldenCurveDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	tr := goldenTrace(t)
+	for _, name := range []string{"krr", "krr-topdown", "krr-linear", "krr-bucket"} {
+		info, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		for _, opts := range goldenVariants(info) {
+			opts.K, opts.Seed = 5, 42
+			key := fmt.Sprintf("%s/rate=%v/bytes=%v/w=%d", name, opts.SamplingRate, opts.Bytes, opts.Workers)
+			t.Run(key, func(t *testing.T) {
+				m, err := New(name, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed(t, m, tr)
+				h := fnv.New64a()
+				curveDigest(h, m.ObjectMRC())
+				if opts.Bytes != BytesOff {
+					curveDigest(h, m.ByteMRC())
+				}
+				got := fmt.Sprintf("%016x", h.Sum64())
+				if want := goldenDigests[key]; got != want {
+					t.Errorf("digest %s, want %s", got, want)
+				}
+			})
+		}
+	}
+}

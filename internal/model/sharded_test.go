@@ -1,60 +1,41 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 
-	"krr/internal/core"
 	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
 
-// TestShardedMatchesCoreShardedProfiler pins the generic wrapper to
-// the KRR-specific pipeline it generalizes: same seeds, same router,
-// same merge — bit-identical curves.
-func TestShardedMatchesCoreShardedProfiler(t *testing.T) {
-	tr := synthTrace(t, 30000, 3000, 21)
-	opts := Options{K: 5, Seed: 42, SamplingRate: 0.2, Workers: 4}
-
-	m, err := New("krr", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, m, tr)
-
-	sp, err := core.NewShardedProfiler(core.Config{
-		K:            opts.K,
-		Seed:         opts.Seed,
-		SamplingRate: opts.SamplingRate,
-		Workers:      opts.Workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := m.ObjectMRC(), sp.ObjectMRC()
-	if !sameCurve(got, want) {
-		t.Fatalf("model.Sharded(krr) diverges from core.ShardedProfiler:\n got %d points\nwant %d points",
-			len(got.Sizes), len(want.Sizes))
-	}
-}
-
-// TestShardedVsSerial is the acceptance bound: on two preset-style
+// TestShardedVsSerial is the acceptance bound: on preset-style
 // workloads, the sharded curve stays within MAE 0.01 of the serial
 // model's. Sharding is spatial sampling at rate 1/W with full
-// coverage, so the two are estimates of the same curve.
+// coverage, so the two are estimates of the same curve. The inputs
+// also stack the router's spatial filter (rate R) on the partition —
+// distances then rescale by W/R; the serial model samples at the same
+// R and the bound loosens to 0.02 — and merge byte curves for the
+// byte-capable models. Every run must
+// conserve requests: the router sees each one, and each admitted one
+// lands in exactly one shard histogram.
 func TestShardedVsSerial(t *testing.T) {
+	varSizes := workload.LogNormalSize{Mu: 7, Sigma: 1.2, Min: 64, Max: 1 << 20}
 	workloads := []struct {
 		name string
 		gen  trace.Reader
 		n    int
-		wss  uint64
 	}{
-		{"zipf", workload.NewZipf(31, 20000, 0.9, workload.FixedSize(trace.DefaultObjectSize), 0.1), 150000, 20000},
-		{"uniform", workload.NewUniform(77, 8000, workload.FixedSize(trace.DefaultObjectSize)), 120000, 8000},
+		{"zipf", workload.NewZipf(31, 20000, 0.9, varSizes, 0.1), 150000},
+		{"uniform", workload.NewUniform(77, 8000, workload.FixedSize(trace.DefaultObjectSize)), 120000},
+	}
+	variants := []struct {
+		opts  Options
+		bound float64
+	}{
+		{Options{Seed: 9, Workers: 4}, 0.01},
+		{Options{Seed: 9, Workers: 4, SamplingRate: 0.1}, 0.02},
+		{Options{Seed: 9, Workers: 4, Bytes: BytesOn}, 0.01},
 	}
 	for _, w := range workloads {
 		w := w
@@ -63,12 +44,50 @@ func TestShardedVsSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sum, err := trace.Summarize(tr.Reader())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, name := range []string{"krr", "krr-bucket", "olken", "mimir"} {
-				serial := buildCurve(t, name, Options{Seed: 9}, tr)
-				sharded := buildCurve(t, name, Options{Seed: 9, Workers: 4}, tr)
-				at := mrc.EvenSizes(w.wss, 64)
-				if mae := mrc.MAE(serial, sharded, at); mae > 0.01 {
-					t.Errorf("%s: MAE(serial, 4-way sharded) = %.4f > 0.01", name, mae)
+				info, _ := Lookup(name)
+				for _, v := range variants {
+					if v.opts.Bytes != BytesOff && !info.Caps.Has(CapBytes) {
+						continue
+					}
+					label := fmt.Sprintf("%s w=%d rate=%v bytes=%v", name, v.opts.Workers, v.opts.SamplingRate, v.opts.Bytes)
+					serialOpts := v.opts
+					serialOpts.Workers = 0
+					serial, err := New(name, serialOpts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed(t, serial, tr)
+					sharded, err := NewSharded(name, v.opts.Workers, v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed(t, sharded, tr)
+
+					a, b := serial.ObjectMRC(), sharded.ObjectMRC()
+					at := mrc.EvenSizes(uint64(sum.DistinctObjects), 64)
+					if v.opts.Bytes != BytesOff {
+						a, b = serial.ByteMRC(), sharded.ByteMRC()
+						at = mrc.EvenSizes(sum.WSSBytes, 64)
+					}
+					if mae := mrc.MAE(a, b, at); mae > v.bound {
+						t.Errorf("%s: MAE(serial, sharded) = %.4f > %v", label, mae, v.bound)
+					}
+
+					st := sharded.Stats()
+					var recorded uint64
+					for _, src := range sharded.sources {
+						recorded += src.objHist().Total()
+					}
+					if st.Seen != uint64(tr.Len()) || recorded != st.Sampled ||
+						(st.Sampled == st.Seen) == v.opts.sampled() {
+						t.Errorf("%s: seen %d of %d, sampled %d, shard histograms hold %d",
+							label, st.Seen, tr.Len(), st.Sampled, recorded)
+					}
 				}
 			}
 		})

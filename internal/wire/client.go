@@ -173,10 +173,13 @@ func (c *Client) SendBatch(reqs []trace.Request) error {
 			n = MaxFrameRecords
 		}
 		c.enc = AppendFrame(c.enc[:0], reqs[:n])
+		// Record the frame before writing it: a frame larger than bw
+		// goes straight to the socket, and its ack can be read before
+		// Write returns.
+		c.pushCount(c.seq, n)
 		if _, err := c.bw.Write(c.enc); err != nil {
 			return err
 		}
-		c.pushCount(c.seq, n)
 		c.seq++
 		c.reqs += uint64(n)
 		reqs = reqs[n:]

@@ -337,3 +337,74 @@ func TestServerMetricsInto(t *testing.T) {
 		}
 	}
 }
+
+// ackFirstConn holds every socket write until the client has counted
+// the ack of each frame the write completed. That is the interleaving
+// a fast server produces when a frame larger than the client's write
+// buffer goes straight to the socket and is acked before the write
+// call returns.
+type ackFirstConn struct {
+	net.Conn
+	client     *Client
+	hdrBytes   int
+	frameBytes int
+	written    int
+}
+
+func (a *ackFirstConn) Write(p []byte) (int, error) {
+	n, err := a.Conn.Write(p)
+	a.written += n
+	frames := uint64((a.written - a.hdrBytes) / a.frameBytes)
+	deadline := time.Now().Add(2 * time.Second)
+	for a.client.ackedFrames.Load()+a.client.dropFrames.Load() < frames && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Microsecond)
+	}
+	return n, err
+}
+
+func (a *ackFirstConn) CloseWrite() error { return a.Conn.(*net.TCPConn).CloseWrite() }
+
+// TestClientCountsAckBeforeWriteReturns sends 4096-record frames, each
+// bigger than the client's 64 KiB write buffer, and lets every ack
+// arrive before the write returns. The client must still charge each
+// ack to its own frame: its acked+dropped totals equal what the server
+// accepted and shed.
+func TestClientCountsAckBeforeWriteReturns(t *testing.T) {
+	srv, addr := startServer(t, Config{Sink: &collectSink{}})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tenant, frames, perFrame = "acme", 8, 4096
+	reqs := testReqs(perFrame)
+	conn := &ackFirstConn{
+		Conn:       raw,
+		hdrBytes:   headerSize + len(tenant),
+		frameBytes: len(AppendFrame(nil, reqs)),
+	}
+	c, err := NewClient(conn, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.client = c
+	for i := 0; i < frames; i++ {
+		if err := c.SendBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AckedFrames+st.DroppedFrames != frames {
+		t.Fatalf("acked %d + dropped %d frames, sent %d", st.AckedFrames, st.DroppedFrames, frames)
+	}
+	got, server := st.AckedRequests+st.DroppedRequests, srv.Requests()+srv.Dropped()
+	if got != server || got != frames*perFrame {
+		t.Fatalf("client counted %d acked+dropped requests, server accepted+shed %d, sent %d",
+			got, server, frames*perFrame)
+	}
+}

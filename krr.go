@@ -18,7 +18,7 @@
 //     MRC technique (KRR, Olken, SHARDS, AET, Counter Stacks, MIMIR,
 //     NSP) behind one Model interface and name→factory registry; see
 //     Models, NewModel and BuildMRCWith.
-//   - Baselines (internal/olken, internal/shards, internal/stack) —
+//   - Baselines (internal/olken, internal/shards) —
 //     exact-LRU stack models and SHARDS.
 //   - Workloads (internal/workload) — synthetic MSR-, YCSB- and
 //     Twitter-like request generators.
@@ -76,11 +76,6 @@ type Config = core.Config
 // Profiler builds K-LRU MRCs in one pass.
 type Profiler = core.Profiler
 
-// ShardedProfiler partitions one request stream across Config.Workers
-// independent KRR stacks (hash-sharded by key, SHARDS-style) and
-// merges their histograms. See NewShardedProfiler.
-type ShardedProfiler = core.ShardedProfiler
-
 // UpdateMethod selects the stack update sampler.
 type UpdateMethod = core.UpdateMethod
 
@@ -92,6 +87,12 @@ const (
 	UpdateTopDown = core.TopDown
 	// UpdateLinear is Mattson's O(M) walk (reference baseline).
 	UpdateLinear = core.Linear
+	// UpdateBucket runs the update on the bucketized stack: geometric
+	// position buckets over a flat slot arena, O(log M) per access
+	// with no pow on the hot path, trading a bounded, ratio-dependent
+	// accuracy loss (Config.BucketRatio; see difftest.BucketEnvelope)
+	// for a ~10x faster update. Object granularity only.
+	UpdateBucket = core.Bucket
 )
 
 // ByteMode selects byte-granularity distance handling for variable
@@ -110,18 +111,6 @@ const (
 	BytesFenwick = core.BytesFenwick
 )
 
-// BucketConfig assembles a BucketProfiler. The zero value is invalid:
-// K must be at least 1; Ratio 0 selects DefaultBucketRatio.
-type BucketConfig = core.BucketConfig
-
-// BucketProfiler builds K-LRU MRCs with the bucketized KRR stack:
-// geometric position buckets over a flat slot arena, O(log M) work
-// per reference with no pow on the hot path, trading a bounded,
-// ratio-dependent accuracy loss for a ~10x faster update than the
-// backward sampler (see the krr-bucket model and
-// difftest.BucketEnvelope).
-type BucketProfiler = core.BucketProfiler
-
 // DefaultBucketRatio is the bucketized stack's default geometric
 // bucket growth ratio.
 const DefaultBucketRatio = core.DefaultBucketRatio
@@ -129,24 +118,9 @@ const DefaultBucketRatio = core.DefaultBucketRatio
 // NewProfiler builds a KRR profiler.
 func NewProfiler(cfg Config) (*Profiler, error) { return core.NewProfiler(cfg) }
 
-// NewBucketProfiler builds a bucketized KRR profiler.
-func NewBucketProfiler(cfg BucketConfig) (*BucketProfiler, error) {
-	return core.NewBucketProfiler(cfg)
-}
-
-// NewShardedProfiler builds a cfg.Workers-way sharded profiler: the
-// caller's goroutine routes requests to per-worker stacks over batched
-// channels, and ObjectMRC/ByteMRC merge the per-shard histograms with
-// the SHARDS distance rescaling. Feed it with Process/ProcessAll from
-// a single goroutine and Close it (the MRC accessors do) before
-// reading results.
-func NewShardedProfiler(cfg Config) (*ShardedProfiler, error) {
-	return core.NewShardedProfiler(cfg)
-}
-
 // BuildMRC drains the reader through a KRR profiler and returns the
-// object-granularity miss ratio curve. With cfg.Workers > 1 the
-// requests are fanned out across a sharded profiler pipeline.
+// object-granularity miss ratio curve. For a sharded parallel build,
+// use BuildMRCWith("krr", r, ModelOptions{Workers: W}).
 func BuildMRC(r Reader, cfg Config) (*Curve, error) { return core.BuildMRC(r, cfg) }
 
 // Model is a streaming MRC constructor from the unified model layer:

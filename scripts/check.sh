@@ -9,7 +9,9 @@
 #
 # The model-registry conformance suite (internal/model) always runs
 # under -race, even in fast mode: it exercises the sharded fan-out
-# pipeline, whose bugs are data races by construction.
+# pipeline, whose bugs are data races by construction. Both modes
+# also run the golden-digest test that pins the KRR family's curves
+# bit for bit.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,9 @@ else
 	echo "== go test -race"
 	go test -race ./...
 fi
+
+echo "== golden curve digests (KRR family curves stay bit-identical)"
+go test -count=1 -run TestGoldenCurveDigests ./internal/model/
 
 echo "== duel-smoke (set-dueling tournament tracks the best static rival)"
 go test -count=1 -run TestDuelSmoke ./internal/redislike/
