@@ -14,7 +14,7 @@ import (
 	"krr/internal/workload"
 )
 
-// goldenDigests pins the exact curves of the KRR registry entries on
+// goldenDigests pins the exact curves of every stack registry entry on
 // goldenTrace: FNV-1a over the float64 bits of every curve point
 // (object curve, then byte curve when a byte mode is set). A refactor
 // of the profiler or sharded plumbing must leave every digest as is.
@@ -44,6 +44,26 @@ var goldenDigests = map[string]string{
 	"krr-bucket/rate=0/bytes=off/w=0":        "16fe64fd02150532",
 	"krr-bucket/rate=0.2/bytes=off/w=0":      "df2a40e6b14210ca",
 	"krr-bucket/rate=0.2/bytes=off/w=4":      "68f2916496e17d48",
+	"olken/rate=0/bytes=off/w=0":             "0914759ddfbbbaf4",
+	"olken/rate=0.2/bytes=off/w=0":           "86b5a45c5dd8f49e",
+	"olken/rate=0/bytes=on/w=0":              "db74d9eb9875fcd0",
+	"olken/rate=0/bytes=uniform/w=0":         "db74d9eb9875fcd0",
+	"olken/rate=0/bytes=sizearray/w=0":       "db74d9eb9875fcd0",
+	"olken/rate=0/bytes=fenwick/w=0":         "db74d9eb9875fcd0",
+	"olken/rate=0.2/bytes=off/w=4":           "482583d58788de31",
+	"mimir/rate=0/bytes=off/w=0":             "39052dab6401685d",
+	"mimir/rate=0.2/bytes=off/w=0":           "6184ed2a61919c4c",
+	"mimir/rate=0.2/bytes=off/w=4":           "c56d2d32f359a530",
+	"lfu/rate=0/bytes=off/w=0":               "485f6f98f1875caa",
+	"lfu/rate=0.2/bytes=off/w=0":             "1da5749cb7e84b39",
+	"mru/rate=0/bytes=off/w=0":               "8f84dda1311febb2",
+	"mru/rate=0.2/bytes=off/w=0":             "43445a61208e007c",
+	"shards/rate=0/bytes=off/w=0":            "8a7e704436af837c",
+	"shards/rate=0.2/bytes=off/w=0":          "86b5a45c5dd8f49e",
+	"shards/rate=0/bytes=on/w=0":             "29c7f3b3c172aeeb",
+	"shards/rate=0/bytes=uniform/w=0":        "29c7f3b3c172aeeb",
+	"shards/rate=0/bytes=sizearray/w=0":      "29c7f3b3c172aeeb",
+	"shards/rate=0/bytes=fenwick/w=0":        "29c7f3b3c172aeeb",
 }
 
 // goldenVariants lists the option sets digested for one entry:
@@ -93,7 +113,7 @@ func curveDigest(h hash.Hash, c *mrc.Curve) {
 	}
 }
 
-// TestGoldenCurveDigests pins the KRR family's curves bit for bit.
+// TestGoldenCurveDigests pins every stack model's curves bit for bit.
 // Float results may legitimately differ on architectures where the
 // compiler fuses multiply-adds, so the digests are checked on amd64
 // only, where they were recorded.
@@ -102,7 +122,7 @@ func TestGoldenCurveDigests(t *testing.T) {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	tr := goldenTrace(t)
-	for _, name := range []string{"krr", "krr-topdown", "krr-linear", "krr-bucket"} {
+	for _, name := range []string{"krr", "krr-topdown", "krr-linear", "krr-bucket", "olken", "mimir", "lfu", "mru", "shards"} {
 		info, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)

@@ -10,7 +10,7 @@
 # The model-registry conformance suite (internal/model) always runs
 # under -race, even in fast mode: it exercises the sharded fan-out
 # pipeline, whose bugs are data races by construction. Both modes
-# also run the golden-digest test that pins the KRR family's curves
+# also run the golden-digest test that pins every stack model's curves
 # bit for bit.
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,7 +48,7 @@ else
 	go test -race ./...
 fi
 
-echo "== golden curve digests (KRR family curves stay bit-identical)"
+echo "== golden curve digests (every stack model's curves stay bit-identical)"
 go test -count=1 -run TestGoldenCurveDigests ./internal/model/
 
 echo "== duel-smoke (set-dueling tournament tracks the best static rival)"
