@@ -34,8 +34,9 @@ results: ## regenerate the paper tables/figures under results/
 difftest: ## long randomized differential sweep (seed via DIFFTEST_SEED)
 	$(GO) test -tags difftest -count=1 -run TestDifferentialRandomSweep -v ./internal/difftest/
 
-fuzz-short: ## 10s per fuzz target: trace codec + model process loops + NDJSON ingest parser
+fuzz-short: ## 10s per fuzz target: trace codec + model process loops + NDJSON and RESP parsers
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzModelProcess -fuzztime=10s ./internal/difftest/
 	$(GO) test -run=FuzzNDJSON -fuzz=FuzzNDJSON -fuzztime=10s ./cmd/krrserve/
+	$(GO) test -run=FuzzRESP -fuzz=FuzzRESP -fuzztime=10s ./internal/redislike/

@@ -68,7 +68,7 @@ func BenchmarkFig1_1_KLRUSimulation(b *testing.B) {
 
 func BenchmarkFig5_2_ExactLRUStack(b *testing.B) {
 	tr := benchTrace(b, "msr-web", 1<<17, false)
-	prof := olken.NewProfiler(1)
+	prof := core.NewKernelProfiler(olken.New(1), 0, true)
 	replay(b, tr, prof.Process)
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"krr"
 	"krr/internal/aet"
-	"krr/internal/olken"
 	"krr/internal/shards"
 	"krr/internal/trace"
 )
@@ -40,9 +39,10 @@ func main() {
 	}
 
 	// LRU-only techniques.
-	ol := olken.NewProfiler(1)
-	ol.ProcessAll(tr.Reader())
-	exactLRU := ol.ObjectMRC(1)
+	exactLRU, err := krr.BuildMRCWith("olken", tr.Reader(), krr.ModelOptions{Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	sh := shards.NewFixedRate(0.1, 2, true)
 	sh.ProcessAll(tr.Reader())

@@ -10,7 +10,6 @@ import (
 	"krr/internal/counterstacks"
 	"krr/internal/dlru"
 	"krr/internal/minisim"
-	"krr/internal/nsp"
 	"krr/internal/simulator"
 )
 
@@ -91,16 +90,6 @@ type SampledCacheConfig = simulator.SampledConfig
 
 // NewSampledCache builds a sampled-eviction cache.
 func NewSampledCache(cfg SampledCacheConfig) Cache { return simulator.NewSampled(cfg) }
-
-// NSPStack computes one-pass stack distances for NSP-class priority
-// policies (Bilardi et al., CF '11): perfect LFU and MRU.
-type NSPStack = nsp.Stack
-
-// NewLFUStack returns an NSP stack modeling a perfect-LFU cache.
-func NewLFUStack(seed uint64) *NSPStack { return nsp.New(nsp.LFU{}, seed) }
-
-// NewMRUStack returns an NSP stack modeling an MRU cache.
-func NewMRUStack(seed uint64) *NSPStack { return nsp.New(nsp.MRU{}, seed) }
 
 // OPTMRC computes Belady's clairvoyant-optimal miss ratio curve — the
 // lower bound against which every replacement policy is read.

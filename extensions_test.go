@@ -60,11 +60,16 @@ func TestFacadeNSPAndOPT(t *testing.T) {
 	gen := krr.PresetReader("zipf", 0.01, 3, false)
 	tr, _ := krr.Collect(gen, 20000)
 
-	lfu := krr.NewLFUStack(1)
-	for _, req := range tr.Reqs {
-		lfu.Process(req)
+	lfu, err := krr.NewModel("lfu", krr.ModelOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	lfuCurve := lfu.MRC()
+	for _, req := range tr.Reqs {
+		if err := lfu.Process(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lfuCurve := lfu.ObjectMRC()
 	if lfuCurve.Eval(10) <= lfuCurve.Eval(900) {
 		t.Fatal("LFU curve not decreasing")
 	}

@@ -28,11 +28,11 @@ func TestAllLRUModelsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exactProf := olken.NewProfiler(1)
+	exactProf := core.NewKernelProfiler(olken.New(1), 0, false)
 	if err := exactProf.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	exact := exactProf.ObjectMRC(1)
+	exact := exactProf.ObjectMRC()
 	sizes := mrc.EvenSizes(15000, 20)
 
 	models := []struct {
@@ -76,11 +76,11 @@ func TestAllLRUModelsAgree(t *testing.T) {
 			return cs.MRC(), nil
 		}},
 		{"mimir", 0.04, func() (*mrc.Curve, error) {
-			m := mimir.New(mimir.DefaultBuckets)
-			if err := m.ProcessAll(tr.Reader()); err != nil {
+			p := core.NewKernelProfiler(mimir.New(mimir.DefaultBuckets), 0, false)
+			if err := p.ProcessAll(tr.Reader()); err != nil {
 				return nil, err
 			}
-			return m.MRC(), nil
+			return p.ObjectMRC(), nil
 		}},
 		{"krr-huge-k", 0.03, func() (*mrc.Curve, error) {
 			// KRR converges to the LRU stack as K grows (§4.1).

@@ -3,6 +3,7 @@ package aet
 import (
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/mrc"
 	"krr/internal/olken"
 	"krr/internal/trace"
@@ -37,11 +38,11 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 	}
 	model := mon.MRC()
 
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	if err := exact.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	truth := exact.ObjectMRC(1)
+	truth := exact.ObjectMRC()
 
 	sizes := mrc.EvenSizes(20000, 25)
 	if mae := mrc.MAE(model, truth, sizes); mae > 0.03 {
@@ -58,11 +59,11 @@ func TestMatchesExactLRUOnMSRLike(t *testing.T) {
 
 	mon := New(0)
 	mon.ProcessAll(tr.Reader())
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	exact.ProcessAll(tr.Reader())
 
 	sizes := mrc.EvenSizes(8000, 20)
-	if mae := mrc.MAE(mon.MRC(), exact.ObjectMRC(1), sizes); mae > 0.05 {
+	if mae := mrc.MAE(mon.MRC(), exact.ObjectMRC(), sizes); mae > 0.05 {
 		t.Fatalf("AET vs exact LRU on mixed trace MAE %v", mae)
 	}
 }

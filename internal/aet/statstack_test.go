@@ -3,6 +3,7 @@ package aet
 import (
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/mrc"
 	"krr/internal/olken"
 	"krr/internal/trace"
@@ -30,9 +31,9 @@ func TestStatStackMatchesExactLRU(t *testing.T) {
 	mon.ProcessAll(tr.Reader())
 	model := mon.StatStackMRC()
 
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	exact.ProcessAll(tr.Reader())
-	truth := exact.ObjectMRC(1)
+	truth := exact.ObjectMRC()
 
 	sizes := mrc.EvenSizes(20000, 25)
 	if mae := mrc.MAE(model, truth, sizes); mae > 0.03 {

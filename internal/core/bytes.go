@@ -3,7 +3,7 @@ package core
 // Byte-granularity stack distance support (§4.4.1). The KRR stack
 // itself orders objects; turning a stack position φ into a byte
 // distance requires the cumulative size of positions 1..φ. Two
-// trackers implement this:
+// trackers implement this, and a third estimates it without tracking:
 //
 //   - sizeArray: the paper's structure — one running prefix sum per
 //     power-of-two boundary, updated in O(log M) per stack update and
@@ -12,6 +12,8 @@ package core
 //   - fenwick: an exact binary indexed tree over per-position sizes,
 //     O(log M) per point change (so O(K log² M) per stack update).
 //     Used as the correctness oracle and as an ablation point.
+//   - uniformSizes: φ × mean object size, the uni-KRR estimate of
+//     §5.4 that var-KRR is evaluated against; it keeps no state.
 //
 // Both consume the same update feed: Append on cold insertion, Resize
 // when a resident object's size changes, and ApplySwaps with the
@@ -206,4 +208,22 @@ func (f *fenwick) Rebuild(sizes []uint32) {
 	for _, sz := range sizes[1:] {
 		f.Append(sz)
 	}
+}
+
+// uniformSizes estimates byte distances under the uniform object size
+// assumption (Stack.UniformByteDistance); the update feed is ignored.
+type uniformSizes struct{}
+
+// withUniformSizes attaches the uniform-size estimate; Config's
+// BytesUniform selects it.
+func withUniformSizes() Option { return func(s *Stack) { s.tracker = uniformSizes{} } }
+
+func (uniformSizes) Append(uint32)                        {}
+func (uniformSizes) Resize(int32, uint32, uint32)         {}
+func (uniformSizes) ApplySwaps([]int32, []uint32, uint32) {}
+func (uniformSizes) Rebuild([]uint32)                     {}
+
+// ByteDistance returns φ × the stack's mean object size.
+func (uniformSizes) ByteDistance(phi int32, s *Stack) uint64 {
+	return s.UniformByteDistance(uint64(phi))
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"krr/internal/mrc"
-	"krr/internal/olken"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
@@ -132,27 +131,6 @@ func TestExpectedSwapCountIsKLogM(t *testing.T) {
 		}
 		if math.Abs(got-want) > 0.15*want+0.5 {
 			t.Fatalf("k=%v: mean swaps %v, analytic %v", k, got, want)
-		}
-	}
-}
-
-func TestHugeKBehavesLikeLRU(t *testing.T) {
-	// With an enormous exponent every position swaps, so distances
-	// must equal the exact LRU stack distances reference by reference.
-	for _, m := range []UpdateMethod{Backward, TopDown, Linear} {
-		s := NewStack(1e7, 1, WithMethod(m))
-		oracle := olken.New(9)
-		src := xrand.New(31)
-		for i := 0; i < 5000; i++ {
-			key := src.Uint64n(500)
-			want := oracle.Reference(key, 1)
-			got := s.Reference(key, 1)
-			if got.Cold != want.Cold {
-				t.Fatalf("%v step %d: cold mismatch", m, i)
-			}
-			if !got.Cold && got.Distance != want.Distance {
-				t.Fatalf("%v step %d: dist %d, LRU %d", m, i, got.Distance, want.Distance)
-			}
 		}
 	}
 }

@@ -99,59 +99,88 @@ func (c Config) validate() error {
 	return nil
 }
 
-// kernel is the stack a Profiler drives: a *Stack, or a *BucketStack
-// under Method Bucket.
-type kernel interface {
+// Kernel is a stack-distance algorithm a Profiler drives: the KRR
+// Stack or BucketStack, or any other stack technique (exact LRU,
+// MIMIR buckets, NSP policies). Reference yields one reference's
+// distances; the Profiler owns everything around it. A kernel may
+// also implement MetricsInto(set, prefix) to expose live telemetry.
+type Kernel interface {
+	// Reference records an access and returns its stack distances.
 	Reference(key uint64, size uint32) Result
+	// Delete removes key from the stack, reporting whether it was
+	// resident; kernels that do not model deletes ignore it.
 	Delete(key uint64) bool
-	MetricsInto(set *telemetry.Set, prefix string)
+	// MemoryOverheadBytes is the kernel's resident metadata.
 	MemoryOverheadBytes() uint64
 }
 
-// Profiler builds K-LRU miss ratio curves in one pass (§4), optionally
-// under spatial sampling: filter, stack kernel, distance histograms,
-// rescaled curves. The kernel is a Stack, or a BucketStack under
-// Method Bucket. A Profiler is not safe for concurrent use; shard the
-// stream (model.Sharded) or serialize Process calls externally.
+// metricSource is the optional kernel telemetry extension.
+type metricSource interface {
+	MetricsInto(set *telemetry.Set, prefix string)
+}
+
+// Profiler builds miss ratio curves in one pass over a stack-distance
+// kernel (§4 for KRR), optionally under spatial sampling: filter,
+// kernel, distance histograms, rescaled curves. A Profiler is not
+// safe for concurrent use, except that its counters and kernel
+// metrics may be read while Process runs; shard the stream
+// (model.Sharded) or serialize Process calls externally.
 type Profiler struct {
-	cfg    Config
-	kernel kernel
-	stack  *Stack // the kernel unless Method is Bucket
+	kernel Kernel
 	filter *sampling.Filter
 
 	objHist  *histogram.Dense
 	byteHist *histogram.Log
 
-	seen    uint64 // pre-filter request count
-	sampled uint64
+	// Stream counters are atomics so a /metrics scrape may read them
+	// while another goroutine drives Process.
+	seen    telemetry.Counter // pre-filter request count
+	sampled telemetry.Counter
 }
 
-// NewProfiler builds a profiler from cfg.
-func NewProfiler(cfg Config) (*Profiler, error) {
+// NewKernelProfiler wraps a kernel: samplingRate in (0, 1) applies
+// SHARDS-style spatial sampling (0 or 1 disables it), and bytes
+// records the kernel's byte distances in a second histogram.
+func NewKernelProfiler(k Kernel, samplingRate float64, bytes bool) *Profiler {
+	p := &Profiler{kernel: k, objHist: histogram.NewDense(1024)}
+	if bytes {
+		p.byteHist = histogram.NewLog()
+	}
+	if samplingRate > 0 && samplingRate < 1 {
+		p.filter = sampling.NewRate(samplingRate)
+	}
+	return p
+}
+
+// NewKernel builds the KRR kernel cfg selects: a Stack with cfg's
+// update method and byte tracker, or a BucketStack under Method
+// Bucket. cfg.SamplingRate is validated but belongs to the Profiler.
+func NewKernel(cfg Config) (Kernel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p := &Profiler{cfg: cfg, objHist: histogram.NewDense(1024)}
 	if cfg.Method == Bucket {
-		p.kernel = NewBucketStack(cfg.kPrime(), cfg.BucketRatio, cfg.Seed)
-	} else {
-		opts := []Option{WithMethod(cfg.Method)}
-		switch cfg.Bytes {
-		case BytesSizeArray:
-			opts = append(opts, WithSizeArray())
-		case BytesFenwick:
-			opts = append(opts, WithFenwick())
-		}
-		p.stack = NewStack(cfg.kPrime(), cfg.Seed, opts...)
-		p.kernel = p.stack
+		return NewBucketStack(cfg.kPrime(), cfg.BucketRatio, cfg.Seed), nil
 	}
-	if cfg.Bytes != BytesOff {
-		p.byteHist = histogram.NewLog()
+	opts := []Option{WithMethod(cfg.Method)}
+	switch cfg.Bytes {
+	case BytesUniform:
+		opts = append(opts, withUniformSizes())
+	case BytesSizeArray:
+		opts = append(opts, WithSizeArray())
+	case BytesFenwick:
+		opts = append(opts, WithFenwick())
 	}
-	if cfg.SamplingRate > 0 && cfg.SamplingRate < 1 {
-		p.filter = sampling.NewRate(cfg.SamplingRate)
+	return NewStack(cfg.kPrime(), cfg.Seed, opts...), nil
+}
+
+// NewProfiler builds a KRR profiler from cfg.
+func NewProfiler(cfg Config) (*Profiler, error) {
+	k, err := NewKernel(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return NewKernelProfiler(k, cfg.SamplingRate, cfg.Bytes != BytesOff), nil
 }
 
 // MustProfiler is NewProfiler, panicking on config errors; for tests
@@ -164,23 +193,30 @@ func MustProfiler(cfg Config) *Profiler {
 	return p
 }
 
-// Stack exposes the underlying KRR stack; nil under Method Bucket.
-func (p *Profiler) Stack() *Stack { return p.stack }
-
-// Seen returns the number of requests offered (before sampling).
-func (p *Profiler) Seen() uint64 { return p.seen }
-
-// Sampled returns the number of requests admitted by the filter.
-func (p *Profiler) Sampled() uint64 { return p.sampled }
-
-// StackMetricsInto registers the stack's live update metrics under
-// prefix. They are atomics, safe to scrape while Process runs on
-// another goroutine.
-func (p *Profiler) StackMetricsInto(set *telemetry.Set, prefix string) {
-	p.kernel.MetricsInto(set, prefix)
+// Stack exposes the underlying KRR stack; nil for any other kernel.
+func (p *Profiler) Stack() *Stack {
+	s, _ := p.kernel.(*Stack)
+	return s
 }
 
-// MemoryOverheadBytes is the §5.6 metadata accounting: the stack plus
+// Seen returns the number of requests offered (before sampling).
+func (p *Profiler) Seen() uint64 { return p.seen.Load() }
+
+// Sampled returns the number of requests admitted by the filter.
+func (p *Profiler) Sampled() uint64 { return p.sampled.Load() }
+
+// MetricsInto registers the stream counters and the kernel's live
+// metrics, if it has any, under prefix. All are atomics, safe to
+// scrape while Process runs on another goroutine.
+func (p *Profiler) MetricsInto(set *telemetry.Set, prefix string) {
+	set.CounterFunc(prefix+"requests_seen_total", "requests offered via Process", p.seen.Load)
+	set.CounterFunc(prefix+"requests_sampled_total", "requests admitted past sampling", p.sampled.Load)
+	if ms, ok := p.kernel.(metricSource); ok {
+		ms.MetricsInto(set, prefix)
+	}
+}
+
+// MemoryOverheadBytes is the §5.6 metadata accounting: the kernel plus
 // the distance histograms.
 func (p *Profiler) MemoryOverheadBytes() uint64 {
 	n := p.kernel.MemoryOverheadBytes() + p.objHist.MemBytes()
@@ -192,11 +228,11 @@ func (p *Profiler) MemoryOverheadBytes() uint64 {
 
 // Process feeds one request.
 func (p *Profiler) Process(req trace.Request) {
-	p.seen++
+	p.seen.Inc()
 	if p.filter != nil && !p.filter.Sampled(req.Key) {
 		return
 	}
-	p.sampled++
+	p.sampled.Inc()
 	if req.Op == trace.OpDelete {
 		p.kernel.Delete(req.Key)
 		return
@@ -210,13 +246,7 @@ func (p *Profiler) Process(req trace.Request) {
 		return
 	}
 	p.objHist.Add(res.Distance)
-	if p.byteHist == nil {
-		return
-	}
-	switch p.cfg.Bytes {
-	case BytesUniform:
-		p.byteHist.Add(p.stack.UniformByteDistance(res.Distance))
-	default:
+	if p.byteHist != nil {
 		p.byteHist.Add(res.ByteDistance)
 	}
 }
@@ -235,34 +265,35 @@ func (p *Profiler) ProcessAll(r trace.Reader) error {
 	}
 }
 
-// scale converts sampled distances back to full-trace cache sizes.
-func (p *Profiler) scale() float64 {
+// Rate returns the effective spatial sampling rate R (1 when
+// unsampled); curves rescale sampled distances by 1/R.
+func (p *Profiler) Rate() float64 {
 	if p.filter == nil {
 		return 1
 	}
-	return 1 / p.filter.Rate()
+	return p.filter.Rate()
 }
 
-// ObjectMRC returns the modeled K-LRU miss ratio curve over
-// object-count cache sizes.
+// ObjectMRC returns the modeled miss ratio curve over object-count
+// cache sizes.
 func (p *Profiler) ObjectMRC() *mrc.Curve {
-	return mrc.FromHistogram(p.objHist, p.scale())
+	return mrc.FromHistogram(p.objHist, 1/p.Rate())
 }
 
 // ByteMRC returns the modeled curve over byte cache sizes, or
-// ErrBytesOff if the profiler was built with BytesOff. (It used to
+// ErrBytesOff if the profiler was built without byte distances. (It used to
 // panic; a monitoring daemon must survive a mis-routed byte query.)
 func (p *Profiler) ByteMRC() (*mrc.Curve, error) {
 	if p.byteHist == nil {
 		return nil, ErrBytesOff
 	}
-	return mrc.FromHistogram(p.byteHist, p.scale()), nil
+	return mrc.FromHistogram(p.byteHist, 1/p.Rate()), nil
 }
 
 // ObjHist exposes the object histogram.
 func (p *Profiler) ObjHist() *histogram.Dense { return p.objHist }
 
-// ByteHist exposes the byte histogram (nil when BytesOff).
+// ByteHist exposes the byte histogram (nil without byte distances).
 func (p *Profiler) ByteHist() *histogram.Log { return p.byteHist }
 
 // BuildMRC is the one-call convenience: model a K-LRU cache over a

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/hashing"
 	"krr/internal/mrc"
 	"krr/internal/olken"
@@ -84,9 +85,9 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 	}
 	model := s.MRC()
 
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	exact.ProcessAll(tr.Reader())
-	truth := exact.ObjectMRC(1)
+	truth := exact.ObjectMRC()
 
 	sizes := mrc.EvenSizes(20000, 20)
 	if mae := mrc.MAE(model, truth, sizes); mae > 0.06 {

@@ -1,19 +1,14 @@
 // Package mimir implements the MIMIR bucketing scheme (Saemundsson et
 // al., SoCC '14), the coarse-grained LRU stack of §6.1: the stack is
 // divided into B aging buckets; objects within a bucket are unordered,
-// so an access costs O(1) amortized and the stack distance is
+// so an access moves no other object and the stack distance is
 // estimated as the total size of newer buckets plus half the object's
-// own bucket. With B = 128 the paper reports near-exact MRCs.
+// own bucket, an O(B) sum. With B = 128 the paper reports near-exact
+// MRCs. Stack is a core.Kernel; a core.Profiler turns its distances
+// into curves.
 package mimir
 
-import (
-	"errors"
-	"io"
-
-	"krr/internal/histogram"
-	"krr/internal/mrc"
-	"krr/internal/trace"
-)
+import "krr/internal/core"
 
 // DefaultBuckets is the bucket count MIMIR's authors recommend.
 const DefaultBuckets = 128
@@ -28,12 +23,11 @@ type Stack struct {
 	oldest uint64
 	counts []uint64
 
-	pos  map[uint64]uint64 // key -> bucket id (may predate oldest; clamped)
-	hist *histogram.Dense
+	pos map[uint64]uint64 // key -> bucket id (may predate oldest; clamped)
 }
 
-// New returns a stack with the given bucket budget (<= 0 uses the
-// default).
+// New returns a stack with the given bucket budget; a budget of 1 or
+// less uses DefaultBuckets.
 func New(buckets int) *Stack {
 	if buckets <= 1 {
 		buckets = DefaultBuckets
@@ -42,7 +36,6 @@ func New(buckets int) *Stack {
 		maxBuckets: buckets,
 		counts:     []uint64{0},
 		pos:        make(map[uint64]uint64),
-		hist:       histogram.NewDense(1024),
 	}
 }
 
@@ -64,29 +57,26 @@ func (s *Stack) clampID(id uint64) uint64 {
 	return id
 }
 
-// Reference processes one access, returning the estimated stack
-// distance and whether the reference was cold.
-func (s *Stack) Reference(key uint64) (distance uint64, cold bool) {
-	id, ok := s.pos[key]
-	if ok {
-		id = s.clampID(id)
-		idx := int(id - s.oldest)
+// Reference processes one access and returns the estimated stack
+// distance; sizes are ignored (object granularity only).
+func (s *Stack) Reference(key uint64, _ uint32) core.Result {
+	var res core.Result
+	if id, ok := s.pos[key]; ok {
+		idx := int(s.clampID(id) - s.oldest)
 		// Distance: everything in newer buckets + half this bucket.
 		var newer uint64
 		for j := idx + 1; j < len(s.counts); j++ {
 			newer += s.counts[j]
 		}
-		distance = newer + s.counts[idx]/2 + 1
-		s.hist.Add(distance)
+		res.Distance = newer + s.counts[idx]/2 + 1
 		s.counts[idx]--
 	} else {
-		cold = true
-		s.hist.AddCold()
+		res.Cold = true
 	}
 	s.counts[len(s.counts)-1]++
 	s.pos[key] = s.newestID()
 	s.rotateIfNeeded()
-	return distance, cold
+	return res
 }
 
 // rotateIfNeeded opens a fresh bucket when the newest one exceeds its
@@ -118,38 +108,9 @@ func (s *Stack) Delete(key uint64) bool {
 	return true
 }
 
-// Process feeds one request.
-func (s *Stack) Process(req trace.Request) {
-	if req.Op == trace.OpDelete {
-		s.Delete(req.Key)
-		return
-	}
-	s.Reference(req.Key)
-}
-
-// ProcessAll drains a reader.
-func (s *Stack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the modeled exact-LRU miss ratio curve.
-func (s *Stack) MRC() *mrc.Curve { return mrc.FromHistogram(s.hist, 1) }
-
-// Hist exposes the stack distance histogram.
-func (s *Stack) Hist() *histogram.Dense { return s.hist }
-
 // MemoryOverheadBytes estimates the stack's resident metadata: the
-// position map, the bucket population array and the histogram.
+// position map and the bucket population array.
 func (s *Stack) MemoryOverheadBytes() uint64 {
 	const perEntry = 48 // map entry: key + bucket id + bucket overhead
-	return uint64(len(s.pos))*perEntry + uint64(cap(s.counts))*8 + s.hist.MemBytes()
+	return uint64(len(s.pos))*perEntry + uint64(cap(s.counts))*8
 }

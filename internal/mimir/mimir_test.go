@@ -3,6 +3,7 @@ package mimir
 import (
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/mrc"
 	"krr/internal/olken"
 	"krr/internal/trace"
@@ -12,15 +13,15 @@ import (
 
 func TestColdThenHit(t *testing.T) {
 	s := New(8)
-	if _, cold := s.Reference(1); !cold {
+	if !s.Reference(1, 1).Cold {
 		t.Fatal("first touch must be cold")
 	}
-	d, cold := s.Reference(1)
-	if cold {
+	res := s.Reference(1, 1)
+	if res.Cold {
 		t.Fatal("second touch must hit")
 	}
-	if d == 0 || d > 2 {
-		t.Fatalf("immediate reuse distance %d", d)
+	if res.Distance == 0 || res.Distance > 2 {
+		t.Fatalf("immediate reuse distance %d", res.Distance)
 	}
 }
 
@@ -28,7 +29,7 @@ func TestBucketBudgetRespected(t *testing.T) {
 	s := New(16)
 	src := xrand.New(3)
 	for i := 0; i < 50000; i++ {
-		s.Reference(src.Uint64n(5000))
+		s.Reference(src.Uint64n(5000), 1)
 	}
 	if s.Buckets() > 16 {
 		t.Fatalf("buckets %d exceed budget", s.Buckets())
@@ -50,15 +51,15 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 	g := workload.NewZipf(3, 20000, 0.8, nil, 0)
 	tr, _ := trace.Collect(g, 300000)
 
-	s := New(DefaultBuckets)
-	if err := s.ProcessAll(tr.Reader()); err != nil {
+	p := core.NewKernelProfiler(New(DefaultBuckets), 0, false)
+	if err := p.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	model := s.MRC()
+	model := p.ObjectMRC()
 
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	exact.ProcessAll(tr.Reader())
-	truth := exact.ObjectMRC(1)
+	truth := exact.ObjectMRC()
 
 	sizes := mrc.EvenSizes(20000, 25)
 	if mae := mrc.MAE(model, truth, sizes); mae > 0.03 {
@@ -68,10 +69,10 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 
 func TestLoopTrace(t *testing.T) {
 	const m = 5000
-	s := New(DefaultBuckets)
+	p := core.NewKernelProfiler(New(DefaultBuckets), 0, false)
 	g := workload.NewLoop(m, nil)
-	s.ProcessAll(trace.LimitReader(g, m*10))
-	c := s.MRC()
+	p.ProcessAll(trace.LimitReader(g, m*10))
+	c := p.ObjectMRC()
 	if c.Eval(m/2) < 0.9 {
 		t.Fatalf("miss(M/2) = %v", c.Eval(m/2))
 	}
@@ -82,14 +83,14 @@ func TestLoopTrace(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	s := New(8)
-	s.Reference(1)
+	s.Reference(1, 1)
 	if !s.Delete(1) || s.Delete(1) {
 		t.Fatal("delete semantics")
 	}
 	if s.Len() != 0 {
 		t.Fatal("object not removed")
 	}
-	if _, cold := s.Reference(1); !cold {
+	if !s.Reference(1, 1).Cold {
 		t.Fatal("re-reference after delete must be cold")
 	}
 }
@@ -101,12 +102,12 @@ func TestDefaultBuckets(t *testing.T) {
 }
 
 func TestProcessDeleteOp(t *testing.T) {
-	s := New(8)
-	s.Process(trace.Request{Key: 1, Op: trace.OpGet})
-	s.Process(trace.Request{Key: 1, Op: trace.OpDelete})
-	s.Process(trace.Request{Key: 1, Op: trace.OpGet})
-	if s.Hist().Cold() != 2 {
-		t.Fatalf("cold = %d", s.Hist().Cold())
+	p := core.NewKernelProfiler(New(8), 0, false)
+	p.Process(trace.Request{Key: 1, Op: trace.OpGet})
+	p.Process(trace.Request{Key: 1, Op: trace.OpDelete})
+	p.Process(trace.Request{Key: 1, Op: trace.OpGet})
+	if p.ObjHist().Cold() != 2 {
+		t.Fatalf("cold = %d", p.ObjHist().Cold())
 	}
 }
 
@@ -120,6 +121,6 @@ func BenchmarkReference(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reference(keys[i&(1<<16-1)])
+		s.Reference(keys[i&(1<<16-1)], 1)
 	}
 }

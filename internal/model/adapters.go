@@ -6,7 +6,6 @@ import (
 	"krr/internal/core"
 	"krr/internal/counterstacks"
 	"krr/internal/hashing"
-	"krr/internal/histogram"
 	"krr/internal/mimir"
 	"krr/internal/mrc"
 	"krr/internal/nsp"
@@ -17,12 +16,85 @@ import (
 	"krr/internal/trace"
 )
 
-// streamModel is the one adapter shape every registered model is
-// expressed in: a spatial filter (external, applied here, or internal
-// to the technique and mirrored only for the Sampled counter), a
-// per-request process function, an optional finalization flush, and
-// curve constructors. CapSharded models additionally expose their raw
-// histograms for the Sharded wrapper's merge.
+// stackModel is the adapter every stack-distance entry shares (krr*,
+// olken, mimir, lfu, mru): a core.Profiler over the technique's
+// kernel owns the spatial filter, the stream counters, the distance
+// histograms, the 1/R rescale and the footprint. The Sharded wrapper
+// merges its histograms directly.
+type stackModel struct {
+	finalizer
+	p *core.Profiler
+}
+
+// newStack builds a registry factory for a stack-distance kernel: the
+// profiler applies Options.SamplingRate and records byte distances
+// when Options.Bytes is set.
+func newStack(kernel func(Options) (core.Kernel, error)) func(Options) (Model, error) {
+	return func(o Options) (Model, error) {
+		k, err := kernel(o)
+		if err != nil {
+			return nil, err
+		}
+		return &stackModel{p: core.NewKernelProfiler(k, o.SamplingRate, o.Bytes != BytesOff)}, nil
+	}
+}
+
+// Process implements Model.
+func (m *stackModel) Process(req trace.Request) error {
+	if err := m.guard(); err != nil {
+		return err
+	}
+	m.p.Process(req)
+	return nil
+}
+
+// ObjectMRC implements Model.
+func (m *stackModel) ObjectMRC() *mrc.Curve {
+	m.finalize()
+	return m.p.ObjectMRC()
+}
+
+// ByteMRC implements Model.
+func (m *stackModel) ByteMRC() *mrc.Curve {
+	if m.p.ByteHist() == nil {
+		return nil
+	}
+	m.finalize()
+	return m.byteCurve()
+}
+
+// byteCurve reads the byte curve; nil without byte distances.
+func (m *stackModel) byteCurve() *mrc.Curve {
+	c, _ := m.p.ByteMRC()
+	return c
+}
+
+// Snapshot implements Model. Curve construction is non-destructive,
+// so the snapshot runs the same computation as the finalized reads.
+func (m *stackModel) Snapshot() Snapshot {
+	return Snapshot{Stats: m.Stats(), Object: m.p.ObjectMRC(), Byte: m.byteCurve()}
+}
+
+// Stats implements Model.
+func (m *stackModel) Stats() Stats {
+	return Stats{Seen: m.p.Seen(), Sampled: m.p.Sampled(), Finalized: m.finalized}
+}
+
+// MetricsInto implements MetricSource: the profiler's stream counters
+// and the kernel's live metrics under the same prefix.
+func (m *stackModel) MetricsInto(set *telemetry.Set, prefix string) {
+	m.p.MetricsInto(set, prefix)
+}
+
+// Footprint implements FootprintSource. Like Process it is not safe
+// for concurrent use; callers serialize it against the stream.
+func (m *stackModel) Footprint() int64 { return int64(m.p.MemoryOverheadBytes()) }
+
+// streamModel is the adapter shape of every technique that is not a
+// stack-distance kernel: a spatial filter (external, applied here, or
+// internal to the technique and mirrored only for the Sampled
+// counter), a per-request process function, an optional finalization
+// flush, and curve constructors.
 type streamModel struct {
 	finalizer
 	// filter, when non-nil, drops unsampled requests before process —
@@ -41,17 +113,9 @@ type streamModel struct {
 	// Stacks); every other technique's objCurve is already
 	// non-destructive and doubles as the snapshot read.
 	snapObj func() *mrc.Curve
-	// metrics, when non-nil, registers the technique's internal live
-	// telemetry (stack gauges, update counters) alongside the adapter's
-	// stream counters in MetricsInto.
-	metrics func(*telemetry.Set, string)
 	// footprint reports the technique's resident metadata bytes; must
 	// be called under the same serialization as process.
 	footprint func() uint64
-
-	// Mergeable histograms for CapSharded models; nil otherwise.
-	objDense *histogram.Dense
-	byteLog  *histogram.Log
 
 	// Stream counters are atomics so MetricsInto consumers (a /metrics
 	// scrape) may read them while another goroutine drives Process.
@@ -124,14 +188,10 @@ func (m *streamModel) Stats() Stats {
 	return Stats{Seen: m.seen.Load(), Sampled: m.sampled.Load(), Finalized: m.finalized}
 }
 
-// MetricsInto implements MetricSource: the adapter's stream counters
-// plus any technique-internal metrics under the same prefix.
+// MetricsInto implements MetricSource: the adapter's stream counters.
 func (m *streamModel) MetricsInto(set *telemetry.Set, prefix string) {
 	set.CounterFunc(prefix+"requests_seen_total", "requests offered via Process", m.seen.Load)
 	set.CounterFunc(prefix+"requests_sampled_total", "requests admitted past sampling", m.sampled.Load)
-	if m.metrics != nil {
-		m.metrics(set, prefix)
-	}
 }
 
 // Footprint implements FootprintSource. Like Process it is not safe
@@ -142,9 +202,6 @@ func (m *streamModel) Footprint() int64 {
 	}
 	return int64(m.footprint())
 }
-
-func (m *streamModel) objHist() *histogram.Dense { return m.objDense }
-func (m *streamModel) byteHist() *histogram.Log  { return m.byteLog }
 
 // extFilter builds the adapter-side spatial filter and the distance
 // rescale that undoes it (1/R), for models that do not sample
@@ -174,57 +231,37 @@ func coreByteMode(m ByteMode) core.ByteMode {
 	}
 }
 
-// newKRR builds a KRR profiler model over the given update method.
+// krrKernel builds the KRR stack kernel over the given update method.
 // core.Bucket selects the bucketized stack: the Eq. 4.1
 // stay-probability at geometric-bucket granularity, O(log M) per
 // reference, object granularity only.
-func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
-	return func(o Options) (Model, error) {
-		filter, scale := extFilter(o)
-		p, err := core.NewProfiler(core.Config{
+func krrKernel(method core.UpdateMethod) func(Options) (core.Kernel, error) {
+	return func(o Options) (core.Kernel, error) {
+		return core.NewKernel(core.Config{
 			K:           o.k(),
 			Seed:        o.Seed,
 			Method:      method,
 			Bytes:       coreByteMode(o.Bytes),
 			BucketRatio: o.BucketRatio,
 		})
-		if err != nil {
-			return nil, err
-		}
-		m := &streamModel{
-			filter:    filter,
-			process:   p.Process,
-			objCurve:  func() *mrc.Curve { return mrc.FromHistogram(p.ObjHist(), scale) },
-			objDense:  p.ObjHist(),
-			metrics:   p.StackMetricsInto,
-			footprint: p.MemoryOverheadBytes,
-		}
-		if o.Bytes != BytesOff {
-			m.byteCurve = func() *mrc.Curve { return mrc.FromHistogram(p.ByteHist(), scale) }
-			m.byteLog = p.ByteHist()
-		}
-		return m, nil
 	}
 }
 
-// --- Olken exact-LRU stack -------------------------------------------
+// --- Olken exact-LRU stack, MIMIR, NSP policies ----------------------
 
-func newOlken(o Options) (Model, error) {
-	filter, scale := extFilter(o)
-	p := olken.NewProfiler(o.Seed)
-	m := &streamModel{
-		filter:    filter,
-		process:   p.Process,
-		objCurve:  func() *mrc.Curve { return p.ObjectMRC(scale) },
-		objDense:  p.ObjHist(),
-		footprint: p.MemoryOverheadBytes,
-	}
-	if o.Bytes != BytesOff {
-		m.byteCurve = func() *mrc.Curve { return p.ByteMRC(scale) }
-		m.byteLog = p.ByteHist()
-	}
-	return m, nil
-}
+// olkenKernel is the exact-LRU treap; every byte mode means its exact
+// byte distances.
+func olkenKernel(o Options) (core.Kernel, error) { return olken.New(o.Seed), nil }
+
+func mimirKernel(Options) (core.Kernel, error) { return mimir.New(mimir.DefaultBuckets), nil }
+
+func lfuKernel(o Options) (core.Kernel, error) { return nsp.New(nsp.LFU{}, o.Seed), nil }
+
+// mruKernel is the exact O(1) transposition stack: the generic
+// priority-sorted engine is not Mattson's stack for MRU (see nsp
+// package docs), a divergence the difftest harness measures at up to
+// ~0.43 MAE against exact simulation on loop traces.
+func mruKernel(Options) (core.Kernel, error) { return nsp.NewMRU(), nil }
 
 // --- SHARDS ----------------------------------------------------------
 
@@ -317,50 +354,6 @@ func newCounterStacks(o Options) (Model, error) {
 	}, nil
 }
 
-// --- MIMIR -----------------------------------------------------------
-
-func newMimir(o Options) (Model, error) {
-	filter, scale := extFilter(o)
-	m := mimir.New(mimir.DefaultBuckets)
-	return &streamModel{
-		filter:    filter,
-		process:   m.Process,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(m.Hist(), scale) },
-		objDense:  m.Hist(),
-		footprint: m.MemoryOverheadBytes,
-	}, nil
-}
-
-// --- NSP policies (LFU, MRU) -----------------------------------------
-
-func newNSP(policy nsp.Policy) func(Options) (Model, error) {
-	return func(o Options) (Model, error) {
-		filter, scale := extFilter(o)
-		s := nsp.New(policy, o.Seed)
-		return &streamModel{
-			filter:    filter,
-			process:   s.Process,
-			objCurve:  func() *mrc.Curve { return mrc.FromHistogram(s.Hist(), scale) },
-			footprint: s.MemoryOverheadBytes,
-		}, nil
-	}
-}
-
-// newMRU uses the exact O(1) transposition stack: the generic
-// priority-sorted engine is not Mattson's stack for MRU (see nsp
-// package docs), a divergence the difftest harness measures at up to
-// ~0.43 MAE against exact simulation on loop traces.
-func newMRU(o Options) (Model, error) {
-	filter, scale := extFilter(o)
-	s := nsp.NewMRU()
-	return &streamModel{
-		filter:    filter,
-		process:   s.Process,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(s.Hist(), scale) },
-		footprint: s.MemoryOverheadBytes,
-	}, nil
-}
-
 // --- Closed-form analytic (Che / Fagin) ------------------------------
 
 // newAnalytic builds the instant-estimate tier: a cheform popularity
@@ -401,7 +394,7 @@ func init() {
 		Complexity: "O(K log M) expected/ref",
 		Space:      "O(M) array + open-address index",
 		Caps:       CapBytes | CapDeletes | CapSharded,
-		New:        newKRR(core.Backward),
+		New:        newStack(krrKernel(core.Backward)),
 	})
 	Register(Info{
 		Name:       "krr-topdown",
@@ -410,7 +403,7 @@ func init() {
 		Complexity: "O(K log² M) expected/ref",
 		Space:      "O(M) array + open-address index",
 		Caps:       CapBytes | CapDeletes | CapSharded,
-		New:        newKRR(core.TopDown),
+		New:        newStack(krrKernel(core.TopDown)),
 	})
 	Register(Info{
 		Name:       "krr-linear",
@@ -419,7 +412,7 @@ func init() {
 		Complexity: "O(M)/ref",
 		Space:      "O(M) array + open-address index",
 		Caps:       CapBytes | CapDeletes | CapSharded,
-		New:        newKRR(core.Linear),
+		New:        newStack(krrKernel(core.Linear)),
 	})
 	Register(Info{
 		Name:       "krr-bucket",
@@ -428,7 +421,7 @@ func init() {
 		Complexity: "O(log M)/ref",
 		Space:      "O(M) SoA arena + O(log M) buckets",
 		Caps:       CapDeletes | CapSharded,
-		New:        newKRR(core.Bucket),
+		New:        newStack(krrKernel(core.Bucket)),
 	})
 	Register(Info{
 		Name:       "olken",
@@ -438,7 +431,7 @@ func init() {
 		Complexity: "O(log M)/ref",
 		Space:      "O(M) treap + hash",
 		Caps:       CapBytes | CapDeletes | CapSharded,
-		New:        newOlken,
+		New:        newStack(olkenKernel),
 	})
 	Register(Info{
 		Name:       "shards",
@@ -489,10 +482,10 @@ func init() {
 		Name:       "mimir",
 		Target:     "lru",
 		Paper:      "Saemundsson et al., SoCC '14",
-		Complexity: "O(1) amortized/ref",
+		Complexity: "O(B)/ref (B buckets)",
 		Space:      "O(B) buckets + key map",
 		Caps:       CapDeletes | CapSharded,
-		New:        newMimir,
+		New:        newStack(mimirKernel),
 	})
 	Register(Info{
 		Name:       "che",
@@ -520,7 +513,7 @@ func init() {
 		Complexity: "O(log M)/ref",
 		Space:      "O(M) treap + maps",
 		Caps:       0,
-		New:        newNSP(nsp.LFU{}),
+		New:        newStack(lfuKernel),
 	})
 	Register(Info{
 		Name:       "mru",
@@ -529,6 +522,6 @@ func init() {
 		Complexity: "O(1)/ref",
 		Space:      "O(M) position array + map",
 		Caps:       0,
-		New:        newMRU,
+		New:        newStack(mruKernel),
 	})
 }

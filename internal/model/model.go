@@ -24,12 +24,26 @@
 // taken at end-of-stream is bit-identical to the finalized curve; the
 // conformance suite pins this for every registry entry.
 //
+// # Adapters
+//
+// Two adapters express every registry entry. The stack-distance
+// techniques (krr, krr-topdown, krr-linear, krr-bucket, olken, mimir,
+// lfu, mru) share one: a core.Profiler over the technique's
+// core.Kernel, which owns the spatial filter, the seen/sampled
+// counters, the distance histograms, the 1/R rescale, delete routing
+// and the footprint; an entry supplies only its kernel constructor.
+// The other techniques (shards, shards-fixedsize, aet, statstack,
+// counterstacks, che, fagin) sample, count or build curves in their
+// own way and are wired through per-technique closures.
+//
 // # Seeding convention
 //
-// All model randomness derives from Options.Seed, threaded by each
-// adapter into constructors that take positional seeds (olken.New,
-// nsp.New) exactly once. Models with no internal randomness — AET,
-// Counter Stacks, MIMIR, and the deterministic hash-based spatial
+// All model randomness derives from Options.Seed, threaded exactly
+// once into each kernel or technique constructor that takes a seed
+// (core.NewKernel via Config.Seed, olken.New, nsp.New,
+// shards.NewFixedRate, shards.NewFixedSize). Models with no internal
+// randomness — MIMIR, the MRU transposition stack, AET, Counter
+// Stacks, the analytic tier, and the deterministic hash-based spatial
 // sampling filter — ignore the seed and are bit-reproducible by
 // construction. Sharded wrappers derive shard i's seed as
 // shardpipe.ShardSeed(Seed, i), so a model and its sharded form stay

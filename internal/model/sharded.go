@@ -12,14 +12,6 @@ import (
 	"krr/internal/trace"
 )
 
-// histSource is implemented by adapters whose registry entry declares
-// CapSharded: the Sharded wrapper reads shard histograms directly and
-// merges them, bypassing the sub-models' own curve accessors.
-type histSource interface {
-	objHist() *histogram.Dense
-	byteHist() *histogram.Log
-}
-
 // Sharded fans a request stream out over W instances of one model, one
 // per keyspace partition, and merges their histograms into a single
 // curve (§5.5's parallel decomposition, generalized beyond KRR).
@@ -45,10 +37,11 @@ type Sharded struct {
 	// monitor thread can snapshot a live stream. The streaming path pays
 	// one uncontended lock per request, noise next to the shard hash and
 	// batch append it guards.
-	mu      sync.Mutex
-	pipe    *shardpipe.Pipe
-	subs    []Model
-	sources []histSource
+	mu   sync.Mutex
+	pipe *shardpipe.Pipe
+	// subs are the shard stack models; their histograms are merged
+	// directly, bypassing the sub-models' own curve accessors.
+	subs    []*stackModel
 	filter  *sampling.Filter
 	bytes   bool
 	seen    telemetry.Counter
@@ -90,12 +83,11 @@ func NewSharded(name string, workers int, opts Options) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		src, ok := m.(histSource)
-		if !ok || src.objHist() == nil {
-			return nil, fmt.Errorf("model: %s declares CapSharded but exposes no mergeable histogram", info.Name)
+		sm, ok := m.(*stackModel)
+		if !ok {
+			return nil, fmt.Errorf("model: %s declares CapSharded but is not a stack model", info.Name)
 		}
-		s.subs = append(s.subs, m)
-		s.sources = append(s.sources, src)
+		s.subs = append(s.subs, sm)
 	}
 	s.pipe = shardpipe.New(workers, func(shard int, req trace.Request) {
 		// Errors are impossible here: sub-models are never finalized —
@@ -182,8 +174,8 @@ func (s *Sharded) scale() float64 {
 // be finalized, or be inside a pipe.Quiesce callback.
 func (s *Sharded) mergedObject() *mrc.Curve {
 	merged := histogram.NewDense(1024)
-	for _, src := range s.sources {
-		merged.Merge(src.objHist())
+	for _, sub := range s.subs {
+		merged.Merge(sub.p.ObjHist())
 	}
 	return mrc.FromHistogram(merged, s.scale())
 }
@@ -192,8 +184,8 @@ func (s *Sharded) mergedObject() *mrc.Curve {
 // mergedObject.
 func (s *Sharded) mergedByte() *mrc.Curve {
 	merged := histogram.NewLog()
-	for _, src := range s.sources {
-		if h := src.byteHist(); h != nil {
+	for _, sub := range s.subs {
+		if h := sub.p.ByteHist(); h != nil {
 			merged.Merge(h)
 		}
 	}
@@ -264,7 +256,7 @@ func (s *Sharded) Footprint() int64 {
 	var total int64
 	sum := func() {
 		for _, sub := range s.subs {
-			total += FootprintOf(sub)
+			total += sub.Footprint()
 		}
 	}
 	if s.finalized {
@@ -295,8 +287,6 @@ func (s *Sharded) MetricsInto(set *telemetry.Set, prefix string) {
 	set.CounterFunc(prefix+"requests_sampled_total", "requests admitted past spatial sampling", s.sampled.Load)
 	s.pipe.MetricsInto(set, prefix+"pipe_")
 	for i, sub := range s.subs {
-		if ms, ok := sub.(MetricSource); ok {
-			ms.MetricsInto(set, fmt.Sprintf("%sshard%d_", prefix, i))
-		}
+		sub.MetricsInto(set, fmt.Sprintf("%sshard%d_", prefix, i))
 	}
 }

@@ -80,8 +80,8 @@ func TestShardedVsSerial(t *testing.T) {
 
 					st := sharded.Stats()
 					var recorded uint64
-					for _, src := range sharded.sources {
-						recorded += src.objHist().Total()
+					for _, sub := range sharded.subs {
+						recorded += sub.p.ObjHist().Total()
 					}
 					if st.Seen != uint64(tr.Len()) || recorded != st.Sampled ||
 						(st.Sampled == st.Seen) == v.opts.sampled() {

@@ -1,13 +1,6 @@
 package nsp
 
-import (
-	"errors"
-	"io"
-
-	"krr/internal/histogram"
-	"krr/internal/mrc"
-	"krr/internal/trace"
-)
+import "krr/internal/core"
 
 // MRUStack computes exact Mattson stack distances for MRU
 // (evict-most-recently-used) replacement in O(1) per reference.
@@ -37,23 +30,20 @@ import (
 type MRUStack struct {
 	keys []uint64       // position (0-based) -> key
 	pos  map[uint64]int // key -> position in keys
-	hist *histogram.Dense
 }
 
 // NewMRU builds an exact MRU stack-distance model.
 func NewMRU() *MRUStack {
-	return &MRUStack{
-		pos:  make(map[uint64]int),
-		hist: histogram.NewDense(1024),
-	}
+	return &MRUStack{pos: make(map[uint64]int)}
 }
 
 // Len returns the number of distinct objects seen.
 func (s *MRUStack) Len() int { return len(s.keys) }
 
 // Reference processes one access and returns its MRU stack distance
-// (1-based depth before the update; cold references have none).
-func (s *MRUStack) Reference(key uint64) Result {
+// (1-based depth before the update; cold references have none). Sizes
+// are ignored (object granularity only).
+func (s *MRUStack) Reference(key uint64, _ uint32) core.Result {
 	if v, ok := s.pos[key]; ok {
 		d := uint64(v) + 1
 		if v != 0 {
@@ -61,8 +51,7 @@ func (s *MRUStack) Reference(key uint64) Result {
 			s.keys[0], s.keys[v] = key, top
 			s.pos[key], s.pos[top] = 0, v
 		}
-		s.hist.Add(d)
-		return Result{Distance: d}
+		return core.Result{Distance: d}
 	}
 	if len(s.keys) > 0 {
 		top := s.keys[0]
@@ -73,42 +62,16 @@ func (s *MRUStack) Reference(key uint64) Result {
 		s.keys = append(s.keys, key)
 	}
 	s.pos[key] = 0
-	s.hist.AddCold()
-	return Result{Cold: true}
+	return core.Result{Cold: true}
 }
 
-// Process feeds one request (deletes are unsupported by the stack
-// model and ignored, as in Stack).
-func (s *MRUStack) Process(req trace.Request) {
-	if req.Op == trace.OpDelete {
-		return
-	}
-	s.Reference(req.Key)
-}
-
-// ProcessAll drains a reader.
-func (s *MRUStack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the MRU miss ratio curve.
-func (s *MRUStack) MRC() *mrc.Curve { return mrc.FromHistogram(s.hist, 1) }
-
-// Hist exposes the stack distance histogram.
-func (s *MRUStack) Hist() *histogram.Dense { return s.hist }
+// Delete is a no-op, as in Stack: the stack model has no delete
+// semantics.
+func (s *MRUStack) Delete(uint64) bool { return false }
 
 // MemoryOverheadBytes estimates the model's resident metadata: the
-// position array and index map plus the histogram.
+// position array and index map.
 func (s *MRUStack) MemoryOverheadBytes() uint64 {
 	const perEntry = 48 // pos map entry
-	return uint64(cap(s.keys))*8 + uint64(len(s.pos))*perEntry + s.hist.MemBytes()
+	return uint64(cap(s.keys))*8 + uint64(len(s.pos))*perEntry
 }

@@ -28,12 +28,7 @@
 package nsp
 
 import (
-	"errors"
-	"io"
-
-	"krr/internal/histogram"
-	"krr/internal/mrc"
-	"krr/internal/trace"
+	"krr/internal/core"
 	"krr/internal/xrand"
 )
 
@@ -108,7 +103,6 @@ type Stack struct {
 	hasTop bool
 	clock  uint64
 	rng    *xrand.Source
-	hist   *histogram.Dense
 }
 
 // New builds an NSP stack for the given policy.
@@ -121,7 +115,6 @@ func New(policy Policy, seed uint64) *Stack {
 		counts: make(map[uint64]uint64),
 		prios:  make(map[uint64][2]uint64),
 		rng:    xrand.New(seed),
-		hist:   histogram.NewDense(1024),
 	}
 }
 
@@ -227,27 +220,21 @@ func (s *Stack) rankAbove(p [2]uint64) uint32 {
 	return above
 }
 
-// Result is one reference's outcome.
-type Result struct {
-	Cold     bool
-	Distance uint64
-}
-
 // Reference processes one access and returns the NSP stack distance:
 // 1 for a repeat of the immediately preceding reference, otherwise
 // 2 + the number of other objects with strictly higher priority
-// (position 1 is always the previously referenced object).
-func (s *Stack) Reference(key uint64) Result {
+// (position 1 is always the previously referenced object). Sizes are
+// ignored (object granularity only).
+func (s *Stack) Reference(key uint64, _ uint32) core.Result {
 	s.clock++
 	count, seen := s.counts[key]
 	count++
 	s.counts[key] = count
 	newPrio := s.policy.Priority(count, s.clock)
 
-	var res Result
+	var res core.Result
 	if !seen {
 		res.Cold = true
-		s.hist.AddCold()
 		s.insert(newPrio)
 		s.prios[key] = newPrio
 		s.lastId = key
@@ -272,7 +259,6 @@ func (s *Stack) Reference(key uint64) Result {
 			res.Distance = above + 1
 		}
 	}
-	s.hist.Add(res.Distance)
 	s.remove(old)
 	s.insert(newPrio)
 	s.prios[key] = newPrio
@@ -281,41 +267,15 @@ func (s *Stack) Reference(key uint64) Result {
 	return res
 }
 
-// Process feeds one request (deletes are unsupported by the NSP model
-// and ignored).
-func (s *Stack) Process(req trace.Request) {
-	if req.Op == trace.OpDelete {
-		return
-	}
-	s.Reference(req.Key)
-}
-
-// ProcessAll drains a reader.
-func (s *Stack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the policy's miss ratio curve.
-func (s *Stack) MRC() *mrc.Curve { return mrc.FromHistogram(s.hist, 1) }
-
-// Hist exposes the stack distance histogram.
-func (s *Stack) Hist() *histogram.Dense { return s.hist }
+// Delete is a no-op: the NSP model has no delete semantics, so a
+// deleted object keeps its stack position and priority history.
+func (s *Stack) Delete(uint64) bool { return false }
 
 // MemoryOverheadBytes estimates the model's resident metadata: one
-// treap node plus two map entries (counts, prios) per distinct object,
-// plus the histogram.
+// treap node plus two map entries (counts, prios) per distinct object.
 func (s *Stack) MemoryOverheadBytes() uint64 {
 	const perNode = 56  // prio tuple + heap prio + children + count, padded
 	const perEntry = 48 // counts entry
 	const perPrio = 56  // prios entry: key + [2]uint64 + bucket overhead
-	return uint64(len(s.counts))*(perNode+perEntry+perPrio) + s.hist.MemBytes()
+	return uint64(len(s.counts)) * (perNode + perEntry + perPrio)
 }

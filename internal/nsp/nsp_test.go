@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
@@ -72,7 +73,7 @@ func TestAgainstNaive(t *testing.T) {
 		for i := 0; i < 15000; i++ {
 			key := src.Uint64n(120)
 			wantDist, wantCold := ref.reference(key)
-			got := s.Reference(key)
+			got := s.Reference(key, 1)
 			if got.Cold != wantCold {
 				t.Fatalf("%s step %d: cold %v want %v", policy.Name(), i, got.Cold, wantCold)
 			}
@@ -85,8 +86,8 @@ func TestAgainstNaive(t *testing.T) {
 
 func TestImmediateRepeatIsOne(t *testing.T) {
 	s := New(LFU{}, 1)
-	s.Reference(5)
-	if got := s.Reference(5); got.Cold || got.Distance != 1 {
+	s.Reference(5, 1)
+	if got := s.Reference(5, 1); got.Cold || got.Distance != 1 {
 		t.Fatalf("repeat: %+v", got)
 	}
 }
@@ -131,11 +132,11 @@ func TestLFUMRCMatchesSimulation(t *testing.T) {
 	g := workload.NewZipf(3, 1500, 1.0, nil, 0)
 	tr, _ := trace.Collect(g, 40000)
 
-	s := New(LFU{}, 1)
-	if err := s.ProcessAll(tr.Reader()); err != nil {
+	p := core.NewKernelProfiler(New(LFU{}, 1), 0, false)
+	if err := p.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	curve := s.MRC()
+	curve := p.ObjectMRC()
 
 	for _, c := range []int{100, 400, 800, 1200} {
 		sim := perfectLFUMiss(tr, c)
@@ -150,9 +151,9 @@ func TestLFUKeepsHotHeadCheap(t *testing.T) {
 	// Zipf traffic: LFU's miss ratio at a small cache must be low —
 	// the head keys have the highest counts and are never evicted.
 	g := workload.NewZipf(5, 10000, 1.2, nil, 0)
-	s := New(LFU{}, 1)
-	s.ProcessAll(trace.LimitReader(g, 150000))
-	c := s.MRC()
+	p := core.NewKernelProfiler(New(LFU{}, 1), 0, false)
+	p.ProcessAll(trace.LimitReader(g, 150000))
+	c := p.ObjectMRC()
 	if c.Eval(500) > 0.45 {
 		t.Fatalf("LFU miss at 5%% of keys = %v, too high for zipf 1.2", c.Eval(500))
 	}
@@ -208,11 +209,11 @@ func TestMRUMatchesExactSimulation(t *testing.T) {
 	zg := workload.NewZipf(11, 400, 0.9, nil, 0)
 	traces["zipf"], _ = trace.Collect(zg, 5000)
 	for name, tr := range traces {
-		s := NewMRU()
-		if err := s.ProcessAll(tr.Reader()); err != nil {
+		p := core.NewKernelProfiler(NewMRU(), 0, false)
+		if err := p.ProcessAll(tr.Reader()); err != nil {
 			t.Fatal(err)
 		}
-		curve := s.MRC()
+		curve := p.ObjectMRC()
 		for _, c := range []int{5, 40, 75, 120, 149} {
 			sim := perfectMRUMiss(tr, c)
 			model := curve.Eval(uint64(c))
@@ -237,7 +238,7 @@ func TestMRUSmallHandChecked(t *testing.T) {
 		{'b', false, 3}, {'a', false, 2},
 	}
 	for i, st := range steps {
-		got := s.Reference(st.key)
+		got := s.Reference(st.key, 1)
 		if got.Cold != st.cold || got.Distance != st.dist {
 			t.Fatalf("step %d key %c: got %+v want cold=%v dist=%d",
 				i, rune(st.key), got, st.cold, st.dist)
@@ -250,9 +251,9 @@ func TestMRUOnLoop(t *testing.T) {
 	// 2..M: miss at capacity c ≈ (M-c)/M once warm.
 	const m = 200
 	g := workload.NewLoop(m, nil)
-	s := NewMRU()
-	s.ProcessAll(trace.LimitReader(g, m*40))
-	c := s.MRC()
+	p := core.NewKernelProfiler(NewMRU(), 0, false)
+	p.ProcessAll(trace.LimitReader(g, m*40))
+	c := p.ObjectMRC()
 	missHalf := c.Eval(m / 2)
 	if missHalf < 0.4 || missHalf > 0.62 {
 		t.Fatalf("MRU miss at M/2 = %v; expected ~(M-c)/M ≈ 0.5 behaviour", missHalf)
@@ -261,9 +262,19 @@ func TestMRUOnLoop(t *testing.T) {
 
 func TestDeleteIgnored(t *testing.T) {
 	s := New(LFU{}, 1)
-	s.Process(trace.Request{Key: 1, Op: trace.OpDelete})
+	p := core.NewKernelProfiler(s, 0, false)
+	p.Process(trace.Request{Key: 1, Op: trace.OpDelete})
 	if s.Len() != 0 {
 		t.Fatal("delete must be ignored")
+	}
+	p.Process(trace.Request{Key: 1, Op: trace.OpGet})
+	if s.Delete(1) || s.Len() != 1 {
+		t.Fatal("delete must not remove a resident object")
+	}
+	m := NewMRU()
+	m.Reference(1, 1)
+	if m.Delete(1) || m.Len() != 1 {
+		t.Fatal("MRU delete must be ignored")
 	}
 }
 
@@ -286,6 +297,6 @@ func BenchmarkLFUReference(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reference(keys[i&(1<<16-1)])
+		s.Reference(keys[i&(1<<16-1)], 1)
 	}
 }

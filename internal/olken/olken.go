@@ -5,17 +5,13 @@
 // reference costs O(log M) and yields both the object-granularity and
 // the byte-granularity (inclusive) stack distance.
 //
-// This is the repository's ground-truth oracle for exact LRU, the
-// baseline the paper compares against, and the substrate for SHARDS.
+// Stack is a core.Kernel: a core.Profiler over it is the repository's
+// ground-truth oracle for exact LRU, the baseline the paper compares
+// against, and the substrate for SHARDS.
 package olken
 
 import (
-	"errors"
-	"io"
-
-	"krr/internal/histogram"
-	"krr/internal/mrc"
-	"krr/internal/trace"
+	"krr/internal/core"
 	"krr/internal/xrand"
 )
 
@@ -103,35 +99,25 @@ func (s *Stack) Len() int { return int(cnt(s.root)) }
 // Bytes returns the total byte size of resident objects.
 func (s *Stack) Bytes() uint64 { return bytesOf(s.root) }
 
-// Result reports the distances of one reference.
-type Result struct {
-	// Cold is true for a first-touch reference; distances are then
-	// undefined (infinite).
-	Cold bool
-	// Distance is the LRU stack distance in objects (top = 1).
-	Distance uint64
-	// ByteDistance is the inclusive byte-granularity distance: the
-	// total size of stack positions 1..Distance. A cache with byte
-	// capacity >= ByteDistance hits this reference.
-	ByteDistance uint64
-}
-
 // Reference records an access to key with the given size and returns
-// its distances. The object moves to the stack top; a previously
-// unseen key is inserted cold. If the object's size changed since its
-// last reference the new size takes effect at reinsertion.
-func (s *Stack) Reference(key uint64, size uint32) Result {
+// its distances: the LRU stack distance in objects (top = 1) and the
+// inclusive byte distance, the total size of stack positions
+// 1..Distance (a cache with byte capacity >= ByteDistance hits this
+// reference). The object moves to the stack top; a previously unseen
+// key is inserted cold. If the object's size changed since its last
+// reference the new size takes effect at reinsertion.
+func (s *Stack) Reference(key uint64, size uint32) core.Result {
 	s.clock++
 	n, ok := s.index[key]
 	if !ok {
 		s.insertTop(key, size)
-		return Result{Cold: true}
+		return core.Result{Cold: true}
 	}
 	dist, byteDist := s.rankOf(n.time, uint64(n.size))
 	s.removeTime(n.time)
 	delete(s.index, key)
 	s.insertTop(key, size)
-	return Result{Distance: dist, ByteDistance: byteDist}
+	return core.Result{Distance: dist, ByteDistance: byteDist}
 }
 
 // rankOf computes the number of objects with time >= t (the stack
@@ -209,78 +195,4 @@ func (s *Stack) SizeOf(key uint64) (uint32, bool) {
 		return 0, false
 	}
 	return n.size, true
-}
-
-// Profiler runs an exact-LRU one-pass MRC construction over a request
-// stream, recording both object- and byte-granularity histograms.
-type Profiler struct {
-	stack    *Stack
-	objHist  *histogram.Dense
-	byteHist *histogram.Log
-}
-
-// NewProfiler returns an empty profiler.
-func NewProfiler(seed uint64) *Profiler {
-	return &Profiler{
-		stack:    New(seed),
-		objHist:  histogram.NewDense(1024),
-		byteHist: histogram.NewLog(),
-	}
-}
-
-// Process feeds one request.
-func (p *Profiler) Process(req trace.Request) {
-	if req.Op == trace.OpDelete {
-		p.stack.Delete(req.Key)
-		return
-	}
-	res := p.stack.Reference(req.Key, req.Size)
-	if res.Cold {
-		p.objHist.AddCold()
-		p.byteHist.AddCold()
-		return
-	}
-	p.objHist.Add(res.Distance)
-	p.byteHist.Add(res.ByteDistance)
-}
-
-// ProcessAll drains a reader.
-func (p *Profiler) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		p.Process(req)
-	}
-}
-
-// ObjectMRC returns the exact LRU miss-ratio curve over object-count
-// cache sizes; scale rescales distances (pass 1/R under sampling).
-func (p *Profiler) ObjectMRC(scale float64) *mrc.Curve {
-	return mrc.FromHistogram(p.objHist, scale)
-}
-
-// ByteMRC returns the exact LRU miss-ratio curve over byte cache
-// sizes.
-func (p *Profiler) ByteMRC(scale float64) *mrc.Curve {
-	return mrc.FromHistogram(p.byteHist, scale)
-}
-
-// ObjHist exposes the object-granularity histogram.
-func (p *Profiler) ObjHist() *histogram.Dense { return p.objHist }
-
-// ByteHist exposes the byte-granularity histogram.
-func (p *Profiler) ByteHist() *histogram.Log { return p.byteHist }
-
-// Stack exposes the underlying LRU stack.
-func (p *Profiler) Stack() *Stack { return p.stack }
-
-// MemoryOverheadBytes estimates the profiler's resident metadata:
-// stack nodes plus both histogram backing arrays.
-func (p *Profiler) MemoryOverheadBytes() uint64 {
-	return p.stack.MemoryOverheadBytes() + p.objHist.MemBytes() + p.byteHist.MemBytes()
 }

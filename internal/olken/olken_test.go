@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"krr/internal/core"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
@@ -198,12 +199,12 @@ func TestProfilerMRCOnLoop(t *testing.T) {
 	// A cyclic loop over M objects under exact LRU misses everything
 	// for any cache smaller than M and hits everything at M.
 	const m = 100
-	p := NewProfiler(1)
+	p := core.NewKernelProfiler(New(1), 0, false)
 	g := workload.NewLoop(m, nil)
 	if err := p.ProcessAll(trace.LimitReader(g, m*20)); err != nil {
 		t.Fatal(err)
 	}
-	curve := p.ObjectMRC(1)
+	curve := p.ObjectMRC()
 	if miss := curve.Eval(m); miss > 0.06 {
 		t.Fatalf("miss at full loop size = %v, want ~cold ratio", miss)
 	}
@@ -213,12 +214,12 @@ func TestProfilerMRCOnLoop(t *testing.T) {
 }
 
 func TestProfilerZipfMonotone(t *testing.T) {
-	p := NewProfiler(2)
+	p := core.NewKernelProfiler(New(2), 0, false)
 	g := workload.NewZipf(3, 5000, 1.0, nil, 0)
 	if err := p.ProcessAll(trace.LimitReader(g, 100000)); err != nil {
 		t.Fatal(err)
 	}
-	c := p.ObjectMRC(1)
+	c := p.ObjectMRC()
 	for i := 1; i < c.Len(); i++ {
 		if c.Miss[i] > c.Miss[i-1]+1e-12 {
 			t.Fatal("exact LRU MRC must be non-increasing")
@@ -231,7 +232,7 @@ func TestProfilerZipfMonotone(t *testing.T) {
 }
 
 func TestProfilerDeleteOp(t *testing.T) {
-	p := NewProfiler(3)
+	p := core.NewKernelProfiler(New(3), 0, true)
 	tr := &trace.Trace{Reqs: []trace.Request{
 		{Key: 1, Size: 1, Op: trace.OpGet},
 		{Key: 1, Size: 1, Op: trace.OpDelete},
@@ -240,8 +241,8 @@ func TestProfilerDeleteOp(t *testing.T) {
 	if err := p.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	if p.ObjHist().Cold() != 2 {
-		t.Fatalf("cold = %d, want 2", p.ObjHist().Cold())
+	if p.ObjHist().Cold() != 2 || p.ByteHist().Cold() != 2 {
+		t.Fatalf("cold = %d/%d, want 2", p.ObjHist().Cold(), p.ByteHist().Cold())
 	}
 }
 

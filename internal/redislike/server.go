@@ -322,6 +322,15 @@ func writeZeros(w *bufio.Writer, n int) {
 // errProtocol reports malformed RESP input.
 var errProtocol = errors.New("redislike: protocol error")
 
+// Request bounds: arguments per command, bytes per bulk string, and
+// bytes per protocol line (an inline command or a header), the last
+// as Redis bounds inline requests.
+const (
+	maxArgs = 1024
+	maxBulk = 64 << 20
+	maxLine = 64 << 10
+)
+
 // readCommand parses one RESP command: either an array of bulk strings
 // or a bare inline line (telnet style).
 func readCommand(r *bufio.Reader) ([]string, error) {
@@ -333,10 +342,14 @@ func readCommand(r *bufio.Reader) ([]string, error) {
 		return nil, errProtocol
 	}
 	if line[0] != '*' {
-		return strings.Fields(line), nil // inline command
+		args := strings.Fields(line) // inline command
+		if len(args) > maxArgs {
+			return nil, errProtocol
+		}
+		return args, nil
 	}
 	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 || n > 1024 {
+	if err != nil || n < 0 || n > maxArgs {
 		return nil, errProtocol
 	}
 	args := make([]string, 0, n)
@@ -349,7 +362,7 @@ func readCommand(r *bufio.Reader) ([]string, error) {
 			return nil, errProtocol
 		}
 		size, err := strconv.Atoi(hdr[1:])
-		if err != nil || size < 0 || size > 64<<20 {
+		if err != nil || size < 0 || size > maxBulk {
 			return nil, errProtocol
 		}
 		buf := make([]byte, size+2)
@@ -364,12 +377,26 @@ func readCommand(r *bufio.Reader) ([]string, error) {
 	return args, nil
 }
 
+// readLine reads one CRLF- (or LF-) terminated line of at most
+// maxLine bytes, without its line ending.
 func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
+	var long []byte // a line longer than r's buffer, gathered in pieces
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if len(long)+len(chunk) > maxLine {
+			return "", errProtocol
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			long = append(long, chunk...)
+		case err != nil:
+			return "", err
+		case long != nil:
+			return strings.TrimRight(string(append(long, chunk...)), "\r\n"), nil
+		default:
+			return strings.TrimRight(string(chunk), "\r\n"), nil
+		}
 	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 // Client is a minimal RESP client for the examples and tests.

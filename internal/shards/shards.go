@@ -18,6 +18,7 @@ import (
 	"errors"
 	"io"
 
+	"krr/internal/core"
 	"krr/internal/hashing"
 	"krr/internal/mrc"
 	"krr/internal/olken"
@@ -25,11 +26,10 @@ import (
 	"krr/internal/trace"
 )
 
-// FixedRate is constant-rate SHARDS.
+// FixedRate is constant-rate SHARDS: a core.Profiler over an Olken
+// kernel, sampled at the fixed rate, plus the SHARDS_adj credit.
 type FixedRate struct {
-	filter *sampling.Filter
-	prof   *olken.Profiler
-	seen   uint64
+	prof *core.Profiler
 	// adjust adds the SHARDS_adj correction: the difference between
 	// the expected and actual sampled reference counts is credited to
 	// the smallest-distance bucket, correcting the miss-ratio
@@ -44,37 +44,19 @@ func NewFixedRate(rate float64, seed uint64, adjust bool) *FixedRate {
 		panic("shards: rate must be in (0, 1]")
 	}
 	return &FixedRate{
-		filter: sampling.NewRate(rate),
-		prof:   olken.NewProfiler(seed),
+		prof:   core.NewKernelProfiler(olken.New(seed), rate, true),
 		adjust: adjust,
 	}
 }
 
 // Rate returns the effective sampling rate.
-func (s *FixedRate) Rate() float64 { return s.filter.Rate() }
+func (s *FixedRate) Rate() float64 { return s.prof.Rate() }
 
 // Process feeds one request.
-func (s *FixedRate) Process(req trace.Request) {
-	s.seen++
-	if !s.filter.Sampled(req.Key) {
-		return
-	}
-	s.prof.Process(req)
-}
+func (s *FixedRate) Process(req trace.Request) { s.prof.Process(req) }
 
 // ProcessAll drains a reader.
-func (s *FixedRate) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
+func (s *FixedRate) ProcessAll(r trace.Reader) error { return s.prof.ProcessAll(r) }
 
 // MRC returns the approximated exact-LRU curve over object cache
 // sizes. It is non-destructive: the SHARDS_adj shortfall credit is
@@ -82,24 +64,24 @@ func (s *FixedRate) ProcessAll(r trace.Reader) error {
 // mid-stream snapshot reads — never compound the correction into the
 // live counts.
 func (s *FixedRate) MRC() *mrc.Curve {
-	hist := s.prof.ObjHist()
 	if s.adjust {
-		expected := uint64(float64(s.seen)*s.filter.Rate() + 0.5)
-		actual := hist.Total()
-		if expected > actual {
+		hist := s.prof.ObjHist()
+		expected := uint64(float64(s.prof.Seen())*s.Rate() + 0.5)
+		if actual := hist.Total(); expected > actual {
 			// Credit the shortfall to distance 1: under-sampling means
 			// short-distance references were missed.
 			adjusted := hist.Clone()
 			adjusted.AddN(1, expected-actual)
-			return mrc.FromHistogram(adjusted, 1/s.filter.Rate())
+			return mrc.FromHistogram(adjusted, 1/s.Rate())
 		}
 	}
-	return mrc.FromHistogram(hist, 1/s.filter.Rate())
+	return s.prof.ObjectMRC()
 }
 
 // ByteMRC returns the curve over byte cache sizes.
 func (s *FixedRate) ByteMRC() *mrc.Curve {
-	return mrc.FromHistogram(s.prof.ByteHist(), 1/s.filter.Rate())
+	c, _ := s.prof.ByteMRC() // never ErrBytesOff: built with bytes on
+	return c
 }
 
 // MemoryOverheadBytes estimates the model's resident metadata (the

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/hashing"
 	"krr/internal/mrc"
 	"krr/internal/olken"
@@ -21,11 +22,11 @@ func zipfTrace(seed uint64, keys uint64, n int) *trace.Trace {
 func TestFixedRateApproximatesExactLRU(t *testing.T) {
 	tr := zipfTrace(3, 50000, 300000)
 
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	if err := exact.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	truth := exact.ObjectMRC(1)
+	truth := exact.ObjectMRC()
 
 	s := NewFixedRate(0.3, 2, false)
 	if err := s.ProcessAll(tr.Reader()); err != nil {
@@ -88,9 +89,9 @@ func TestFixedSizeBoundsSampleSet(t *testing.T) {
 func TestFixedSizeCurveReasonable(t *testing.T) {
 	tr := zipfTrace(9, 30000, 200000)
 
-	exact := olken.NewProfiler(1)
+	exact := core.NewKernelProfiler(olken.New(1), 0, false)
 	exact.ProcessAll(tr.Reader())
-	truth := exact.ObjectMRC(1)
+	truth := exact.ObjectMRC()
 
 	s := NewFixedSize(1.0, 2000, 4)
 	if err := s.ProcessAll(tr.Reader()); err != nil {
@@ -313,11 +314,11 @@ func TestFixedRateAdjustBulkMatchesLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := plain.prof.ObjHist()
-	expected := uint64(float64(plain.seen)*plain.filter.Rate() + 0.5)
+	expected := uint64(float64(plain.prof.Seen())*plain.Rate() + 0.5)
 	for i := hist.Total(); i < expected; i++ {
 		hist.Add(1)
 	}
-	want := mrc.FromHistogram(hist, 1/plain.filter.Rate())
+	want := mrc.FromHistogram(hist, 1/plain.Rate())
 
 	if len(got.Sizes) != len(want.Sizes) {
 		t.Fatalf("breakpoint counts differ: %d vs %d", len(got.Sizes), len(want.Sizes))

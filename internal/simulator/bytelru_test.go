@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/olken"
 	"krr/internal/trace"
 	"krr/internal/workload"
@@ -18,12 +19,16 @@ func TestByteLRUMatchesOlkenByteCurve(t *testing.T) {
 	g := workload.NewTwitterLike(5, workload.TwitterParams{Keys: 3000, Alpha: 1.0})
 	tr, _ := trace.Collect(g, 60000)
 
-	prof := olken.NewProfiler(1)
+	stack := olken.New(1)
+	prof := core.NewKernelProfiler(stack, 0, true)
 	if err := prof.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	curve := prof.ByteMRC(1)
-	wss := prof.Stack().Bytes()
+	curve, err := prof.ByteMRC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wss := stack.Bytes()
 
 	for _, frac := range []float64{0.1, 0.3, 0.6, 0.9} {
 		capBytes := uint64(float64(wss) * frac)

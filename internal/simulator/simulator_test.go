@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"krr/internal/core"
 	"krr/internal/mrc"
 	"krr/internal/olken"
 	"krr/internal/trace"
@@ -43,11 +44,11 @@ func TestLRUMatchesOlkenProfilerExactly(t *testing.T) {
 	})
 	tr, _ := trace.Collect(g, 30000)
 
-	prof := olken.NewProfiler(1)
+	prof := core.NewKernelProfiler(olken.New(1), 0, false)
 	if err := prof.ProcessAll(tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	exact := prof.ObjectMRC(1)
+	exact := prof.ObjectMRC()
 
 	for _, size := range []uint64{10, 50, 200, 1000, 1900} {
 		st, err := Run(NewLRU(ObjectCapacity(int(size))), tr.Reader())

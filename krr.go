@@ -9,17 +9,22 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - Profiler (internal/core) — the KRR stack with O(K log M)
-//     backward updates, optional byte-granularity distances for
-//     variable object sizes, and SHARDS-style spatial sampling.
+//   - Profiler (internal/core) — the one stack-distance profiler:
+//     spatial sampling, distance histograms and curves over a kernel.
+//     NewProfiler gives it the KRR stack with O(K log M) backward
+//     updates and optional byte-granularity distances for variable
+//     object sizes.
 //   - Simulators (internal/simulator, internal/redislike) — ground
 //     truth: exact LRU, K-LRU, and a Redis-like engine.
 //   - Models (internal/model) — the unified streaming layer: every
 //     MRC technique (KRR, Olken, SHARDS, AET, Counter Stacks, MIMIR,
 //     NSP) behind one Model interface and name→factory registry; see
 //     Models, NewModel and BuildMRCWith.
-//   - Baselines (internal/olken, internal/shards) —
-//     exact-LRU stack models and SHARDS.
+//   - Baselines (internal/olken, internal/mimir, internal/nsp,
+//     internal/shards) — the exact-LRU, MIMIR, LFU and MRU stack
+//     kernels behind the same Profiler, and SHARDS; reach them by
+//     registry name ("olken", "mimir", "lfu", "mru", "shards")
+//     through NewModel.
 //   - Workloads (internal/workload) — synthetic MSR-, YCSB- and
 //     Twitter-like request generators.
 //
