@@ -2,9 +2,11 @@ package parallel
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -30,9 +32,12 @@ func TestForEachEmpty(t *testing.T) {
 }
 
 func TestForEachParallelism(t *testing.T) {
-	// With 4 workers at least 2 goroutines must overlap; detect via a
-	// high-water mark of concurrently active calls.
+	// With 4 workers at least 2 calls must be active at once. Each call
+	// yields until a second call has entered (bounded by a deadline), so
+	// the overlap shows even on one CPU; only a serial ForEach keeps
+	// the high-water mark at 1.
 	var active, peak int32
+	deadline := time.Now().Add(5 * time.Second)
 	ForEach(64, 4, func(int) {
 		a := atomic.AddInt32(&active, 1)
 		for {
@@ -41,13 +46,13 @@ func TestForEachParallelism(t *testing.T) {
 				break
 			}
 		}
-		for i := 0; i < 1000; i++ { // small spin to encourage overlap
-			_ = i
+		for atomic.LoadInt32(&peak) < 2 && time.Now().Before(deadline) {
+			runtime.Gosched()
 		}
 		atomic.AddInt32(&active, -1)
 	})
 	if peak < 2 {
-		t.Skipf("no overlap observed (peak=%d); single-CPU machine?", peak)
+		t.Fatalf("no overlap observed (peak=%d): ForEach ran serially", peak)
 	}
 }
 
