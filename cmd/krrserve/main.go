@@ -67,7 +67,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -529,12 +528,7 @@ func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown unit %q (want objects or bytes)", unit), http.StatusBadRequest)
 		return
 	}
-	demands, err := s.reg.Demands(unit)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	plan, err := s.reg.Allocate(budget, unit)
+	plan, demands, err := s.reg.Allocate(budget, unit)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -564,15 +558,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		log.Printf("krrserve: metrics write: %v", err)
 		return
 	}
-	infos := s.reg.List()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	seen := make(map[string]bool)
-	for _, info := range infos {
-		ten, ok := s.reg.Get(info.ID)
-		if !ok {
-			continue
-		}
-		labels := fmt.Sprintf("tenant=%q", telemetry.EscapeLabelValue(info.ID))
+	for _, ten := range s.reg.Tenants() {
+		labels := fmt.Sprintf("tenant=%q", telemetry.EscapeLabelValue(ten.ID))
 		if err := ten.Set().WritePrometheusLabeled(w, labels, seen); err != nil {
 			log.Printf("krrserve: metrics write: %v", err)
 			return

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"krr/internal/fleet"
@@ -211,7 +213,6 @@ func TestMetricsExposition(t *testing.T) {
 		"krrserve_ingest_requests_total 2",
 		"krr_model_requests_seen_total{tenant=\"default\"} 2",
 		"krr_model_stack_len{tenant=\"default\"}",
-		"tenant_requests_total{tenant=\"default\"} 2",
 		"fleet_tenants 1",
 		"fleet_footprint_bytes",
 		"# TYPE krrserve_uptime_seconds gauge",
@@ -219,6 +220,10 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+	// The model's counter is the tenant's one request count.
+	if strings.Contains(body, "tenant_requests_total") {
+		t.Fatalf("/metrics still exports tenant_requests_total:\n%s", body)
 	}
 }
 
@@ -232,16 +237,16 @@ func TestMetricsLabelsPerTenant(t *testing.T) {
 	buf.ReadFrom(get(t, ts.URL+"/metrics").Body)
 	body := buf.String()
 	for _, want := range []string{
-		"tenant_requests_total{tenant=\"a\"} 1",
-		"tenant_requests_total{tenant=\"b\"} 2",
+		"krr_model_requests_seen_total{tenant=\"a\"} 1",
+		"krr_model_requests_seen_total{tenant=\"b\"} 2",
 		"fleet_tenants 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
 	}
-	if n := strings.Count(body, "# TYPE tenant_requests_total"); n != 1 {
-		t.Fatalf("TYPE header for tenant_requests_total appears %d times, want 1:\n%s", n, body)
+	if n := strings.Count(body, "# TYPE krr_model_requests_seen_total"); n != 1 {
+		t.Fatalf("TYPE header for krr_model_requests_seen_total appears %d times, want 1:\n%s", n, body)
 	}
 }
 
@@ -521,5 +526,48 @@ func TestFleetSmoke(t *testing.T) {
 	// Byte budgets need byte-capable models.
 	if resp := get(t, ts.URL+"/allocate?budget=1000000&unit=bytes"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bytes allocate on object-only models: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// snapshotCounter wraps a model and counts its Snapshot calls.
+type snapshotCounter struct {
+	model.Model
+}
+
+var (
+	snapshotCalls       atomic.Int64
+	registerSnapCounter sync.Once
+)
+
+func (m snapshotCounter) Snapshot() model.Snapshot {
+	snapshotCalls.Add(1)
+	return m.Model.Snapshot()
+}
+
+// TestAllocateSnapshotsEachTenantOnce pins that one /allocate response
+// — the waterfill plan and both baselines — is built from a single
+// snapshot of each tenant.
+func TestAllocateSnapshotsEachTenantOnce(t *testing.T) {
+	registerSnapCounter.Do(func() {
+		model.Register(model.Info{
+			Name:   "snapshot-counter",
+			Target: "lru",
+			New: func(o model.Options) (model.Model, error) {
+				m, err := model.New("olken", o)
+				return snapshotCounter{m}, err
+			},
+		})
+	})
+	_, ts := testServerCfg(t, fleet.Config{Default: fleet.Spec{Model: "snapshot-counter"}})
+	const tenants = 3
+	for i := 0; i < tenants; i++ {
+		post(t, fmt.Sprintf("%s/tenants/t%d/ingest", ts.URL, i), "application/x-ndjson", "{\"key\": 1}\n{\"key\": 2}\n")
+	}
+	before := snapshotCalls.Load()
+	if resp := get(t, ts.URL+"/allocate?budget=2"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/allocate status %d", resp.StatusCode)
+	}
+	if got := snapshotCalls.Load() - before; got != tenants {
+		t.Fatalf("/allocate over %d tenants took %d snapshots, want %d", tenants, got, tenants)
 	}
 }

@@ -14,7 +14,9 @@ var errFinalized = errors.New("server is finalized")
 // fleetSink bridges the wire data plane to the fleet registry: one
 // accepted frame becomes one batched ingest into the tenant's model,
 // going through the model's BatchProcessor fast path. Tenants are
-// auto-created exactly like the HTTP ingest path.
+// auto-created exactly like the HTTP ingest path. Wire traffic is
+// counted by the wire_ series alone: requests in wire_requests_total,
+// sink failures in wire_sink_errors_total.
 type fleetSink struct {
 	s *server
 }
@@ -24,12 +26,7 @@ func (fs fleetSink) IngestBatch(tenant string, reqs []trace.Request) error {
 	if fs.s.final.Load() {
 		return errFinalized
 	}
-	if err := fs.s.reg.IngestBatch(tenant, reqs); err != nil {
-		fs.s.ingestErrs.Inc()
-		return err
-	}
-	fs.s.ingests.Add(uint64(len(reqs)))
-	return nil
+	return fs.s.reg.IngestBatch(tenant, reqs)
 }
 
 // startWire opens the binary ingest listener and registers its metrics

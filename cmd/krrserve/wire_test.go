@@ -34,7 +34,8 @@ func startWireTest(t *testing.T, s *server) (*wire.Server, string) {
 
 // TestWireIngestEndToEnd drives the binary ingest plane into the fleet
 // and reads the result back over the HTTP API: tenant auto-created,
-// every request counted, wire_ metrics exposed.
+// every request counted once in wire_ metrics and not in the HTTP
+// ingest counter.
 func TestWireIngestEndToEnd(t *testing.T) {
 	s, ts := testServer(t, model.Options{K: 5, Seed: 1})
 	wsrv, addr := startWireTest(t, s)
@@ -85,6 +86,8 @@ func TestWireIngestEndToEnd(t *testing.T) {
 		fmt.Sprintf("wire_requests_total %d", len(reqs)),
 		"wire_dropped_requests_total 0",
 		"wire_ingest_latency_seconds_bucket",
+		"krrserve_ingest_requests_total 0", // HTTP ingest only
+
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q", want)

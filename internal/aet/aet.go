@@ -50,16 +50,16 @@ func New(samplingRate float64) *Monitor {
 	return m
 }
 
-// Process feeds one request. Delete forgets the key (its next access
-// is a cold miss).
-func (m *Monitor) Process(req trace.Request) {
+// Process feeds one request and reports whether the spatial filter
+// admitted it. Delete forgets the key (its next access is a cold miss).
+func (m *Monitor) Process(req trace.Request) bool {
 	m.clock++
 	if m.filter != nil && !m.filter.Sampled(req.Key) {
-		return
+		return false
 	}
 	if req.Op == trace.OpDelete {
 		delete(m.lastSeen, req.Key)
-		return
+		return true
 	}
 	if last, ok := m.lastSeen[req.Key]; ok {
 		m.hist.Add(m.clock - last)
@@ -68,6 +68,7 @@ func (m *Monitor) Process(req trace.Request) {
 		m.cold++
 	}
 	m.lastSeen[req.Key] = m.clock
+	return true
 }
 
 // ProcessAll drains a reader.

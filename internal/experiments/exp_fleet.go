@@ -81,11 +81,7 @@ func runExtFleet(opt Options) (*Result, error) {
 	// A budget that forces triage: roughly a third of the combined
 	// working set, so no split can fit everyone.
 	budget := distinct * 35 / 100
-	demands, err := reg.Demands("objects")
-	if err != nil {
-		return nil, err
-	}
-	wf, err := reg.Allocate(budget, "objects")
+	wf, demands, err := reg.Allocate(budget, "objects")
 	if err != nil {
 		return nil, err
 	}

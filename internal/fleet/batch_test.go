@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"io"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 
 	ta, _ := viaReader.Get("a")
 	tb, _ := viaBatch.Get("a")
-	if ta.requests.Load() != tb.requests.Load() {
-		t.Fatalf("request counters: reader %d batch %d", ta.requests.Load(), tb.requests.Load())
+	if ra, rb := viaReader.List()[0].Requests, viaBatch.List()[0].Requests; ra != rb {
+		t.Fatalf("request counters: reader %d batch %d", ra, rb)
 	}
 	sa, sb := ta.Snapshot(), tb.Snapshot()
 	if sa.Stats.Seen != sb.Stats.Seen {
@@ -107,6 +108,29 @@ func TestIngestBatchShardedModel(t *testing.T) {
 	}
 	if !r.Evict("s") {
 		t.Fatal("evict failed")
+	}
+}
+
+// TestIngestBatchClosedTenantCountsNothing pins that a batch the model
+// rejects is not counted: once a sharded tenant is closed, IngestBatch
+// returns ErrFinalized and the request count List reports stays put.
+func TestIngestBatchClosedTenantCountsNothing(t *testing.T) {
+	r := NewRegistry(Config{Default: Spec{Model: "krr", Options: model.Options{Workers: 2}}})
+	reqs := readAll(t, zipfTrace(11, 300, 0, 500))
+	if err := r.IngestBatch("s", reqs); err != nil {
+		t.Fatal(err)
+	}
+	ten, _ := r.Get("s")
+	before := r.List()[0].Requests
+	if before != uint64(len(reqs)) {
+		t.Fatalf("listed %d requests, want %d", before, len(reqs))
+	}
+	ten.close()
+	if _, err := ten.IngestBatch(reqs); !errors.Is(err, model.ErrFinalized) {
+		t.Fatalf("IngestBatch on a closed tenant: err %v, want ErrFinalized", err)
+	}
+	if after := r.List()[0].Requests; after != before {
+		t.Fatalf("listed requests moved from %d to %d on a rejected batch", before, after)
 	}
 }
 

@@ -12,7 +12,9 @@
 // acquires the registry lock while holding a tenant lock, so the two
 // levels cannot deadlock. Footprints are cached in per-tenant atomics
 // after each ingest, making budget checks and /metrics scrapes pure
-// atomic reads. A tenant evicted while another goroutine is mid-ingest
+// atomic reads. A tenant's request count is its model's Stats().Seen,
+// which List reads under the tenant lock once the registry lock is
+// released. A tenant evicted while another goroutine is mid-ingest
 // into it is merely orphaned: the ingest completes into a model no
 // longer counted or reachable, and the arena is collected when the
 // ingest returns.
@@ -87,15 +89,14 @@ type Tenant struct {
 	model model.Model
 
 	set       *telemetry.Set
-	requests  telemetry.Counter
 	batches   uint64 // guarded by mu; drives footprint refresh cadence
 	footprint atomic.Int64
 	lastUse   atomic.Int64 // unix nanos
 	created   time.Time
 }
 
-// Set returns the tenant's telemetry set (model metrics under
-// krr_model_, tenant counters under tenant_).
+// Set returns the tenant's telemetry set (model metrics, request
+// counters included, under krr_model_; the footprint under tenant_).
 func (t *Tenant) Set() *telemetry.Set { return t.set }
 
 // Footprint returns the tenant's cached model footprint in bytes
@@ -127,7 +128,6 @@ func (t *Tenant) Ingest(r trace.Reader) (uint64, error) {
 	before := t.model.Stats().Seen
 	err := model.ProcessAll(t.model, r)
 	n := t.model.Stats().Seen - before
-	t.requests.Add(n)
 	t.footprint.Store(model.FootprintOf(t.model))
 	return n, err
 }
@@ -150,7 +150,6 @@ func (t *Tenant) IngestBatch(reqs []trace.Request) (refreshed bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	err = model.ProcessBatch(t.model, reqs)
-	t.requests.Add(uint64(len(reqs)))
 	t.batches++
 	if t.batches%footprintEvery == 0 {
 		t.footprint.Store(model.FootprintOf(t.model))
@@ -171,8 +170,9 @@ func (t *Tenant) close() {
 
 // TenantInfo is a read-only listing row.
 type TenantInfo struct {
-	ID        string    `json:"id"`
-	Model     string    `json:"model"`
+	ID    string `json:"id"`
+	Model string `json:"model"`
+	// Requests is the model's Stats().Seen: the requests it accepted.
 	Requests  uint64    `json:"requests"`
 	Footprint int64     `json:"footprint_bytes"`
 	Created   time.Time `json:"created"`
@@ -221,7 +221,6 @@ func (r *Registry) newTenant(id string, spec Spec) (*Tenant, error) {
 	if ms, ok := m.(model.MetricSource); ok {
 		ms.MetricsInto(t.set, "krr_model_")
 	}
-	t.set.CounterFunc("tenant_requests_total", "requests ingested for this tenant", t.requests.Load)
 	t.set.GaugeFunc("tenant_footprint_bytes", "cached model footprint in bytes", func() float64 {
 		return float64(t.footprint.Load())
 	})
@@ -357,22 +356,33 @@ func (r *Registry) Snapshot(id string) (model.Snapshot, error) {
 	return t.Snapshot(), nil
 }
 
+// Tenants returns the live tenants ordered by id. It releases the
+// registry lock before returning, so callers may take tenant locks.
+func (r *Registry) Tenants() []*Tenant {
+	r.mu.RLock()
+	tenants := make([]*Tenant, 0, len(r.tenants))
+	for _, t := range r.tenants {
+		tenants = append(tenants, t)
+	}
+	r.mu.RUnlock()
+	sort.Slice(tenants, func(i, j int) bool { return tenants[i].ID < tenants[j].ID })
+	return tenants
+}
+
 // List returns tenant rows sorted by id.
 func (r *Registry) List() []TenantInfo {
-	r.mu.RLock()
-	out := make([]TenantInfo, 0, len(r.tenants))
-	for _, t := range r.tenants {
+	tenants := r.Tenants()
+	out := make([]TenantInfo, 0, len(tenants))
+	for _, t := range tenants {
 		out = append(out, TenantInfo{
 			ID:        t.ID,
 			Model:     t.Spec.Model,
-			Requests:  t.requests.Load(),
+			Requests:  t.Stats().Seen,
 			Footprint: t.footprint.Load(),
 			Created:   t.created,
 			LastUsed:  time.Unix(0, t.lastUse.Load()),
 		})
 	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -479,16 +489,8 @@ func closeAll(ts []*Tenant) {
 // run a byte-capable model. Tenants whose curves are still empty
 // (no requests) are skipped.
 func (r *Registry) Demands(unit string) ([]Demand, error) {
-	r.mu.RLock()
-	tenants := make([]*Tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		tenants = append(tenants, t)
-	}
-	r.mu.RUnlock()
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i].ID < tenants[j].ID })
-
 	var demands []Demand
-	for _, t := range tenants {
+	for _, t := range r.Tenants() {
 		snap := t.Snapshot()
 		curve := snap.Object
 		if unit == "bytes" {
@@ -510,18 +512,20 @@ func (r *Registry) Demands(unit string) ([]Demand, error) {
 }
 
 // Allocate waterfills budget across the live tenants by marginal
-// miss-ratio gain.
-func (r *Registry) Allocate(budget uint64, unit string) (Plan, error) {
+// miss-ratio gain. It also returns the demands it planned over (one
+// snapshot per tenant), so callers can compare baselines such as
+// ProportionalSplit on the same curves without snapshotting again.
+func (r *Registry) Allocate(budget uint64, unit string) (Plan, []Demand, error) {
 	demands, err := r.Demands(unit)
 	if err != nil {
-		return Plan{}, err
+		return Plan{}, nil, err
 	}
 	r.allocations.Inc()
 	plan := Waterfill(demands, budget)
 	if unit == "bytes" {
 		plan.Unit = "bytes"
 	}
-	return plan, nil
+	return plan, demands, nil
 }
 
 // MetricsInto registers fleet-level metrics under prefix.

@@ -199,7 +199,7 @@ func TestRegistryAllocateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p1, err := r.Allocate(3000, "objects")
+	p1, demands, err := r.Allocate(3000, "objects")
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestRegistryAllocateDeterministic(t *testing.T) {
 	if len(p1.Allocations) != 3 {
 		t.Fatalf("allocations = %d, want 3", len(p1.Allocations))
 	}
-	p2, err := r.Allocate(3000, "objects")
+	p2, _, err := r.Allocate(3000, "objects")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,6 @@ func TestRegistryAllocateDeterministic(t *testing.T) {
 	}
 
 	wf := p1.AggregateMiss
-	demands, err := r.Demands("objects")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if prop := ProportionalSplit(demands, 3000); wf > prop.AggregateMiss+1e-12 {
 		t.Fatalf("waterfill %v worse than proportional %v", wf, prop.AggregateMiss)
 	}
@@ -278,7 +274,7 @@ func TestConcurrentMultiTenantIngest(t *testing.T) {
 				return
 			default:
 			}
-			if p, err := r.Allocate(2000, "objects"); err != nil {
+			if p, _, err := r.Allocate(2000, "objects"); err != nil {
 				t.Errorf("Allocate: %v", err)
 			} else if err := p.Feasible(); err != nil {
 				t.Errorf("plan infeasible: %v", err)

@@ -5,7 +5,6 @@ import (
 	"krr/internal/cheform"
 	"krr/internal/core"
 	"krr/internal/counterstacks"
-	"krr/internal/hashing"
 	"krr/internal/mimir"
 	"krr/internal/mrc"
 	"krr/internal/nsp"
@@ -17,13 +16,16 @@ import (
 )
 
 // stackModel is the adapter every stack-distance entry shares (krr*,
-// olken, mimir, lfu, mru): a core.Profiler over the technique's
+// olken, mimir, lfu, mru, shards): a core.Profiler over the technique's
 // kernel owns the spatial filter, the stream counters, the distance
 // histograms, the 1/R rescale and the footprint. The Sharded wrapper
 // merges its histograms directly.
 type stackModel struct {
 	finalizer
 	p *core.Profiler
+	// objCurve, when non-nil, builds the object curve in place of the
+	// profiler's plain rescale (shards adds the SHARDS_adj credit).
+	objCurve func(*core.Profiler) *mrc.Curve
 }
 
 // newStack builds a registry factory for a stack-distance kernel: the
@@ -51,7 +53,7 @@ func (m *stackModel) Process(req trace.Request) error {
 // ObjectMRC implements Model.
 func (m *stackModel) ObjectMRC() *mrc.Curve {
 	m.finalize()
-	return m.p.ObjectMRC()
+	return m.objectCurve()
 }
 
 // ByteMRC implements Model.
@@ -63,6 +65,14 @@ func (m *stackModel) ByteMRC() *mrc.Curve {
 	return m.byteCurve()
 }
 
+// objectCurve reads the object curve.
+func (m *stackModel) objectCurve() *mrc.Curve {
+	if m.objCurve != nil {
+		return m.objCurve(m.p)
+	}
+	return m.p.ObjectMRC()
+}
+
 // byteCurve reads the byte curve; nil without byte distances.
 func (m *stackModel) byteCurve() *mrc.Curve {
 	c, _ := m.p.ByteMRC()
@@ -72,7 +82,7 @@ func (m *stackModel) byteCurve() *mrc.Curve {
 // Snapshot implements Model. Curve construction is non-destructive,
 // so the snapshot runs the same computation as the finalized reads.
 func (m *stackModel) Snapshot() Snapshot {
-	return Snapshot{Stats: m.Stats(), Object: m.p.ObjectMRC(), Byte: m.byteCurve()}
+	return Snapshot{Stats: m.Stats(), Object: m.objectCurve(), Byte: m.byteCurve()}
 }
 
 // Stats implements Model.
@@ -91,28 +101,19 @@ func (m *stackModel) MetricsInto(set *telemetry.Set, prefix string) {
 func (m *stackModel) Footprint() int64 { return int64(m.p.MemoryOverheadBytes()) }
 
 // streamModel is the adapter shape of every technique that is not a
-// stack-distance kernel: a spatial filter (external, applied here, or
-// internal to the technique and mirrored only for the Sampled
-// counter), a per-request process function, an optional finalization
-// flush, and curve constructors.
+// stack-distance kernel: a per-request process function that also
+// makes the entry's one sampling decision, and curve constructors.
+// Every curve constructor is non-destructive, so the finalized reads
+// and Snapshot run the identical computation — which is what makes an
+// end-of-stream snapshot bit-identical to the final curves.
 type streamModel struct {
 	finalizer
-	// filter, when non-nil, drops unsampled requests before process —
-	// used by models with no sampling of their own; their curves are
-	// rescaled by 1/rate.
-	filter *sampling.Filter
-	// admit, when non-nil, mirrors an internal filter's admission
-	// decision purely for the Sampled counter (aet, shards).
-	admit     func(key uint64) bool
-	process   func(trace.Request)
-	flush     func() // optional; runs once at finalization
+	// process feeds one request and reports whether the spatial filter
+	// admitted it: the technique's own filter (aet, statstack,
+	// shards-fixedsize) or the adapter's (see filtered).
+	process   func(trace.Request) bool
 	objCurve  func() *mrc.Curve
 	byteCurve func() *mrc.Curve // nil = byte curves off or unsupported
-	// snapObj overrides the object curve for non-finalizing snapshots.
-	// Required for models whose flush commits buffered state (Counter
-	// Stacks); every other technique's objCurve is already
-	// non-destructive and doubles as the snapshot read.
-	snapObj func() *mrc.Curve
 	// footprint reports the technique's resident metadata bytes; must
 	// be called under the same serialization as process.
 	footprint func() uint64
@@ -129,29 +130,15 @@ func (m *streamModel) Process(req trace.Request) error {
 		return err
 	}
 	m.seen.Inc()
-	if m.filter != nil {
-		if !m.filter.Sampled(req.Key) {
-			return nil
-		}
-		m.sampled.Inc()
-	} else if m.admit == nil || m.admit(req.Key) {
+	if m.process(req) {
 		m.sampled.Inc()
 	}
-	m.process(req)
 	return nil
-}
-
-// finalizeOnce flushes buffered state on the first curve read.
-func (m *streamModel) finalizeOnce() {
-	if !m.finalized && m.flush != nil {
-		m.flush()
-	}
-	m.finalize()
 }
 
 // ObjectMRC implements Model.
 func (m *streamModel) ObjectMRC() *mrc.Curve {
-	m.finalizeOnce()
+	m.finalize()
 	return m.objCurve()
 }
 
@@ -160,23 +147,14 @@ func (m *streamModel) ByteMRC() *mrc.Curve {
 	if m.byteCurve == nil {
 		return nil
 	}
-	m.finalizeOnce()
+	m.finalize()
 	return m.byteCurve()
 }
 
 // Snapshot implements Model: the curve of the stream so far, read
-// without flushing or freezing. Buffered state (a partial Counter
-// Stacks batch) is evaluated through snapObj on copies; every other
-// curve constructor is non-destructive, so the finalized read path and
-// the snapshot path run the identical computation — which is what
-// makes an end-of-stream snapshot bit-identical to the final curves.
+// without freezing.
 func (m *streamModel) Snapshot() Snapshot {
-	snap := Snapshot{Stats: m.Stats()}
-	if m.snapObj != nil && !m.finalized {
-		snap.Object = m.snapObj()
-	} else {
-		snap.Object = m.objCurve()
-	}
+	snap := Snapshot{Stats: m.Stats(), Object: m.objCurve()}
 	if m.byteCurve != nil {
 		snap.Byte = m.byteCurve()
 	}
@@ -196,22 +174,23 @@ func (m *streamModel) MetricsInto(set *telemetry.Set, prefix string) {
 
 // Footprint implements FootprintSource. Like Process it is not safe
 // for concurrent use; callers serialize it against the stream.
-func (m *streamModel) Footprint() int64 {
-	if m.footprint == nil {
-		return 0
-	}
-	return int64(m.footprint())
-}
+func (m *streamModel) Footprint() int64 { return int64(m.footprint()) }
 
-// extFilter builds the adapter-side spatial filter and the distance
-// rescale that undoes it (1/R), for models that do not sample
-// internally.
-func extFilter(o Options) (*sampling.Filter, float64) {
+// filtered applies the adapter-side spatial filter for a technique
+// with no sampling of its own, returning its process function and the
+// distance rescale that undoes the filter (1/R).
+func filtered(o Options, process func(trace.Request)) (func(trace.Request) bool, float64) {
 	if !o.sampled() {
-		return nil, 1
+		return func(req trace.Request) bool { process(req); return true }, 1
 	}
 	f := sampling.NewRate(o.SamplingRate)
-	return f, 1 / f.Rate()
+	return func(req trace.Request) bool {
+		if !f.Sampled(req.Key) {
+			return false
+		}
+		process(req)
+		return true
+	}, 1 / f.Rate()
 }
 
 // --- KRR (core) -------------------------------------------------------
@@ -275,20 +254,12 @@ func shardsRate(o Options) float64 {
 	return o.SamplingRate
 }
 
+// newShardsFixedRate is constant-rate SHARDS: a stack model over an
+// Olken kernel sampled at the technique's rate, whose object curve
+// carries the SHARDS_adj credit.
 func newShardsFixedRate(o Options) (Model, error) {
-	rate := shardsRate(o)
-	s := shards.NewFixedRate(rate, o.Seed, true)
-	admit := sampling.NewRate(rate)
-	m := &streamModel{
-		admit:     admit.Sampled,
-		process:   s.Process,
-		objCurve:  s.MRC,
-		footprint: s.MemoryOverheadBytes,
-	}
-	if o.Bytes != BytesOff {
-		m.byteCurve = s.ByteMRC
-	}
-	return m, nil
+	p := core.NewKernelProfiler(olken.New(o.Seed), shardsRate(o), o.Bytes != BytesOff)
+	return &stackModel{p: p, objCurve: shards.AdjustedMRC}, nil
 }
 
 // DefaultFixedSizeObjects is the sample-set bound for the
@@ -302,9 +273,6 @@ func newShardsFixedSize(o Options) (Model, error) {
 	}
 	s := shards.NewFixedSize(start, DefaultFixedSizeObjects, o.Seed)
 	return &streamModel{
-		admit: func(key uint64) bool {
-			return hashing.Mix64(key)%sampling.Modulus < s.Threshold()
-		},
 		process:   s.Process,
 		objCurve:  s.MRC,
 		footprint: s.MemoryOverheadBytes,
@@ -319,12 +287,7 @@ func newShardsFixedSize(o Options) (Model, error) {
 // requests too (which is also why its curves need no rescaling).
 func newAETMonitor(o Options, curve func(*aet.Monitor) *mrc.Curve) (Model, error) {
 	mon := aet.New(o.SamplingRate)
-	var admit func(uint64) bool
-	if o.sampled() {
-		admit = sampling.NewRate(o.SamplingRate).Sampled
-	}
 	return &streamModel{
-		admit:     admit,
 		process:   mon.Process,
 		objCurve:  func() *mrc.Curve { return curve(mon) },
 		footprint: mon.MemoryOverheadBytes,
@@ -341,15 +304,16 @@ func newStatStack(o Options) (Model, error) {
 
 // --- Counter Stacks --------------------------------------------------
 
+// newCounterStacks reads both the final and the live curve through
+// SnapshotHist, which evaluates a partial batch on a copy: nothing is
+// ever flushed into the live state, and at a batch boundary it is the
+// live histogram itself.
 func newCounterStacks(o Options) (Model, error) {
-	filter, scale := extFilter(o)
 	cs := counterstacks.New(counterstacks.Config{})
+	process, scale := filtered(o, cs.Process)
 	return &streamModel{
-		filter:    filter,
-		process:   cs.Process,
-		flush:     cs.Flush,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(cs.Hist(), scale) },
-		snapObj:   func() *mrc.Curve { return mrc.FromHistogram(cs.SnapshotHist(), scale) },
+		process:   process,
+		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(cs.SnapshotHist(), scale) },
 		footprint: cs.MemoryOverheadBytes,
 	}, nil
 }
@@ -361,12 +325,10 @@ func newCounterStacks(o Options) (Model, error) {
 // so no CapSharded; deletes don't change the popularity distribution,
 // so no CapDeletes (the fitter ignores them, keeping curves invariant
 // under delete injection). The fitter's curve read is non-destructive
-// and deterministic in the sketch state, so objCurve doubles as the
-// snapshot read and end-of-stream snapshots are bit-identical to the
-// finalized curve.
+// and deterministic in the sketch state, so end-of-stream snapshots
+// are bit-identical to the finalized curve.
 func newAnalytic(variant cheform.Variant) func(Options) (Model, error) {
 	return func(o Options) (Model, error) {
-		filter, scale := extFilter(o)
 		f, err := cheform.New(cheform.Config{
 			Variant:      variant,
 			DefaultAlpha: o.AnalyticAlpha,
@@ -374,9 +336,9 @@ func newAnalytic(variant cheform.Variant) func(Options) (Model, error) {
 		if err != nil {
 			return nil, err
 		}
+		process, scale := filtered(o, f.Process)
 		return &streamModel{
-			filter:    filter,
-			process:   f.Process,
+			process:   process,
 			objCurve:  func() *mrc.Curve { return f.Curve(scale) },
 			footprint: f.MemoryOverheadBytes,
 		}, nil

@@ -12,8 +12,7 @@
 //
 // A Model is built by New (or a registry factory), fed requests with
 // Process (or the ProcessAll helper), and finalized by the first call
-// to ObjectMRC or ByteMRC. Finalization flushes any buffered state
-// (partial Counter Stacks batches, in-flight sharded pipelines);
+// to ObjectMRC or ByteMRC, which drains in-flight sharded pipelines;
 // afterwards Process returns ErrFinalized.
 //
 // For online monitoring — the shadow-profiler deployment the source
@@ -26,22 +25,27 @@
 //
 // # Adapters
 //
-// Two adapters express every registry entry. The stack-distance
+// Two adapters express every registry entry, and in each a request is
+// counted once and sampled in one place. The stack-distance
 // techniques (krr, krr-topdown, krr-linear, krr-bucket, olken, mimir,
-// lfu, mru) share one: a core.Profiler over the technique's
+// lfu, mru, shards) share one: a core.Profiler over the technique's
 // core.Kernel, which owns the spatial filter, the seen/sampled
 // counters, the distance histograms, the 1/R rescale, delete routing
-// and the footprint; an entry supplies only its kernel constructor.
-// The other techniques (shards, shards-fixedsize, aet, statstack,
-// counterstacks, che, fagin) sample, count or build curves in their
-// own way and are wired through per-technique closures.
+// and the footprint; an entry supplies its kernel constructor, and
+// shards also its SHARDS_adj object curve. The other techniques
+// (shards-fixedsize, aet, statstack, counterstacks, che, fagin) share
+// streamModel: it counts seen and sampled requests, and the
+// technique's process function makes the one admission decision —
+// its own filter (shards-fixedsize, aet, statstack) or the adapter's
+// (counterstacks, che, fagin). Every curve read is non-destructive, so
+// finalizing reads and Snapshot run the same computation.
 //
 // # Seeding convention
 //
 // All model randomness derives from Options.Seed, threaded exactly
 // once into each kernel or technique constructor that takes a seed
 // (core.NewKernel via Config.Seed, olken.New, nsp.New,
-// shards.NewFixedRate, shards.NewFixedSize). Models with no internal
+// shards.NewFixedSize). Models with no internal
 // randomness — MIMIR, the MRU transposition stack, AET, Counter
 // Stacks, the analytic tier, and the deterministic hash-based spatial
 // sampling filter — ignore the seed and are bit-reproducible by

@@ -30,10 +30,7 @@ import (
 // kernel, sampled at the fixed rate, plus the SHARDS_adj credit.
 type FixedRate struct {
 	prof *core.Profiler
-	// adjust adds the SHARDS_adj correction: the difference between
-	// the expected and actual sampled reference counts is credited to
-	// the smallest-distance bucket, correcting the miss-ratio
-	// normalization for sampling deviation.
+	// adjust adds the SHARDS_adj correction (see AdjustedMRC).
 	adjust bool
 }
 
@@ -59,23 +56,31 @@ func (s *FixedRate) Process(req trace.Request) { s.prof.Process(req) }
 func (s *FixedRate) ProcessAll(r trace.Reader) error { return s.prof.ProcessAll(r) }
 
 // MRC returns the approximated exact-LRU curve over object cache
-// sizes. It is non-destructive: the SHARDS_adj shortfall credit is
-// applied to a copy of the histogram, so repeated calls — including
-// mid-stream snapshot reads — never compound the correction into the
-// live counts.
+// sizes, with the SHARDS_adj credit when the model was built with it.
 func (s *FixedRate) MRC() *mrc.Curve {
 	if s.adjust {
-		hist := s.prof.ObjHist()
-		expected := uint64(float64(s.prof.Seen())*s.Rate() + 0.5)
-		if actual := hist.Total(); expected > actual {
-			// Credit the shortfall to distance 1: under-sampling means
-			// short-distance references were missed.
-			adjusted := hist.Clone()
-			adjusted.AddN(1, expected-actual)
-			return mrc.FromHistogram(adjusted, 1/s.Rate())
-		}
+		return AdjustedMRC(s.prof)
 	}
 	return s.prof.ObjectMRC()
+}
+
+// AdjustedMRC is the SHARDS_adj object curve of a spatially sampled
+// profiler: the difference between the expected and actual sampled
+// reference counts is credited to distance 1 (under-sampling means
+// short-distance references were missed), correcting the miss-ratio
+// normalization for sampling deviation. It is non-destructive: the
+// credit is applied to a copy of the histogram, so repeated calls —
+// including mid-stream snapshot reads — never compound the correction
+// into the live counts.
+func AdjustedMRC(p *core.Profiler) *mrc.Curve {
+	hist := p.ObjHist()
+	expected := uint64(float64(p.Seen())*p.Rate() + 0.5)
+	if actual := hist.Total(); expected > actual {
+		adjusted := hist.Clone()
+		adjusted.AddN(1, expected-actual)
+		return mrc.FromHistogram(adjusted, 1/p.Rate())
+	}
+	return p.ObjectMRC()
 }
 
 // ByteMRC returns the curve over byte cache sizes.
@@ -116,7 +121,6 @@ type FixedSize struct {
 	hist   []float64
 	coldW  float64
 	totalW float64
-	seen   uint64
 }
 
 // hashEntry orders the live sample set by hash for threshold shrinks.
@@ -162,18 +166,18 @@ func (s *FixedSize) MemoryOverheadBytes() uint64 {
 		uint64(cap(s.hist))*8
 }
 
-// Process feeds one request.
-func (s *FixedSize) Process(req trace.Request) {
-	s.seen++
+// Process feeds one request and reports whether the sampling
+// condition, at the threshold in force on arrival, admitted it.
+func (s *FixedSize) Process(req trace.Request) bool {
 	h := hashing.Mix64(req.Key) % sampling.Modulus
 	if h >= s.threshold {
-		return
+		return false
 	}
 	if req.Op == trace.OpDelete {
 		if s.stack.Delete(req.Key) {
 			delete(s.hashes, req.Key)
 		}
-		return
+		return true
 	}
 	rate := s.Rate()
 	res := s.stack.Reference(req.Key, req.Size)
@@ -186,7 +190,7 @@ func (s *FixedSize) Process(req trace.Request) {
 		s.pushHash(hashEntry{h: h, key: req.Key})
 		s.coldW += w
 		s.shrinkIfNeeded()
-		return
+		return true
 	}
 	d := uint64(float64(res.Distance)/rate + 0.5)
 	if d == 0 {
@@ -196,6 +200,7 @@ func (s *FixedSize) Process(req trace.Request) {
 		s.hist = append(s.hist, make([]float64, need-len(s.hist))...)
 	}
 	s.hist[d] += w
+	return true
 }
 
 // shrinkIfNeeded lowers the threshold until the sample set fits sMax,

@@ -9,9 +9,11 @@
 #
 # The model-registry conformance suite (internal/model) always runs
 # under -race, even in fast mode: it exercises the sharded fan-out
-# pipeline, whose bugs are data races by construction. Both modes
-# also run the golden-digest test that pins every stack model's curves
-# bit for bit.
+# pipeline, whose bugs are data races by construction. So do the fleet
+# registry and the daemon, whose tenant listings read model counters
+# while ingest runs. Both modes also run the golden-digest test that
+# pins every registry model's curves bit for bit and its counts
+# exactly.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,12 +45,14 @@ if [ "${1:-}" = "fast" ]; then
 	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce' ./internal/model/ ./internal/shardpipe/
 	echo "== redislike + dlru (-race: duel counters, controller retarget)"
 	go test -race ./internal/redislike/... ./internal/dlru/...
+	echo "== fleet + krrserve (-race: tenant listings read model counters during ingest)"
+	go test -race ./internal/fleet/ ./cmd/krrserve/
 else
 	echo "== go test -race"
 	go test -race ./...
 fi
 
-echo "== golden curve digests (every stack model's curves stay bit-identical)"
+echo "== golden curve digests (every registry model's curves and counts stay bit-identical)"
 go test -count=1 -run TestGoldenCurveDigests ./internal/model/
 
 echo "== duel-smoke (set-dueling tournament tracks the best static rival)"
